@@ -1,6 +1,7 @@
 //! E13/E14: scaling and ablation benches.
 //!
-//! - `typecheck_scaling`: checker time vs program size (block chains);
+//! - `typecheck_scaling`: checker time vs program size (block chains
+//!   and straight-line `salloc N` frames);
 //! - `machine_throughput`: instructions/second by instruction class;
 //! - `boundary_overhead`: cost of F↔T crossings vs staying in one
 //!   language (the §6 "Choices in Multi-Language Design" trade-off).
@@ -10,41 +11,25 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use funtal::machine::{run_fexpr, RunCfg};
 use funtal_syntax::build::*;
-use funtal_syntax::{FExpr, HeapVal, TComp};
+use funtal_syntax::FExpr;
 use funtal_tal::trace::{CountTracer, NullTracer};
 
-/// A pure-T program that chains `n` blocks, each adding 1 and jumping
-/// on.
-fn block_chain(n: usize) -> TComp {
-    let mut heap: Vec<(String, HeapVal)> = Vec::new();
-    for i in 0..n {
-        let next: funtal_syntax::Terminator = if i + 1 == n {
-            halt(int(), nil(), r1())
-        } else {
-            jmp(loc(&format!("b{}", i + 1)))
-        };
-        heap.push((
-            format!("b{i}"),
-            code_block(
-                vec![],
-                chi([(r1(), int())]),
-                nil(),
-                q_end(int(), nil()),
-                seq(vec![add(r1(), r1(), int_v(1))], next),
-            ),
-        ));
-    }
-    tcomp(
-        seq(vec![mv(r1(), int_v(0))], jmp(loc("b0"))),
-        heap.iter().map(|(l, h)| (l.as_str(), h.clone())).collect(),
-    )
-}
+#[path = "shared/programs.rs"]
+mod programs;
+
+use programs::{block_chain, frame};
 
 fn typecheck_scaling(c: &mut Criterion) {
     let mut g = c.benchmark_group("typecheck_scaling");
     for n in [8usize, 32, 128, 512] {
         let prog = block_chain(n);
         g.bench_with_input(BenchmarkId::new("blocks", n), &n, |b, _| {
+            b.iter(|| funtal_tal::check::check_program(&prog, &int()).unwrap())
+        });
+    }
+    for cells in [100usize, 475, 4000] {
+        let prog = frame(cells);
+        g.bench_with_input(BenchmarkId::new("frame", cells), &cells, |b, _| {
             b.iter(|| funtal_tal::check::check_program(&prog, &int()).unwrap())
         });
     }

@@ -8,6 +8,7 @@
 //! rule.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use funtal_fun::check::subst_fty_var;
 use funtal_syntax::alpha::{alpha_eq_fty, alpha_eq_stack, alpha_eq_tty};
@@ -26,10 +27,12 @@ pub type Gamma = BTreeMap<VarName, FTy>;
 
 /// The FT static context for F expressions (the marker is implicitly
 /// `out`).
+///
+/// As in [`TCtx`], `Ψ` is shared rather than copied.
 #[derive(Clone, Debug)]
 pub struct FtCtx {
     /// Heap typing `Ψ`.
-    pub psi: HeapTyping,
+    pub psi: Rc<HeapTyping>,
     /// Type environment `∆`.
     pub delta: Delta,
     /// Term environment `Γ`.
@@ -46,18 +49,11 @@ impl FtCtx {
     /// concrete stack.
     pub fn top() -> Self {
         FtCtx {
-            psi: HeapTyping::new(),
+            psi: Rc::new(HeapTyping::new()),
             delta: Delta::new(),
             gamma: Gamma::new(),
             chi: RegFileTy::new(),
             sigma: StackTy::nil(),
-        }
-    }
-
-    fn with_sigma(&self, sigma: StackTy) -> Self {
-        FtCtx {
-            sigma,
-            ..self.clone()
         }
     }
 }
@@ -104,39 +100,47 @@ fn split_suffix(sigma: &StackTy, suffix: &StackTy) -> TResult<Vec<TTy>> {
 /// Infers the type and output stack of an F expression:
 /// `Ψ; ∆; Γ; χ; σ; out ⊢ e : τ; σ'`.
 pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
+    let mut ctx = ctx.clone();
+    let t = infer(&mut ctx, e)?;
+    Ok((t, ctx.sigma))
+}
+
+/// [`type_of_fexpr`] with the stack threaded in place: `ctx.sigma` is
+/// `σ` on entry and `σ'` on success. On error `ctx` may be partly
+/// updated and should be discarded.
+fn infer(ctx: &mut FtCtx, e: &FExpr) -> TResult<FTy> {
     match e {
-        FExpr::Var(x) => {
-            let t = ctx
-                .gamma
-                .get(x)
-                .cloned()
-                .ok_or_else(|| TypeError::UnboundVar(x.to_string()))?;
-            Ok((t, ctx.sigma.clone()))
-        }
-        FExpr::Unit => Ok((FTy::Unit, ctx.sigma.clone())),
-        FExpr::Int(_) => Ok((FTy::Int, ctx.sigma.clone())),
+        FExpr::Var(x) => ctx
+            .gamma
+            .get(x)
+            .cloned()
+            .ok_or_else(|| TypeError::UnboundVar(x.to_string())),
+        FExpr::Unit => Ok(FTy::Unit),
+        FExpr::Int(_) => Ok(FTy::Int),
         FExpr::Binop { lhs, rhs, .. } => {
-            let (tl, s1) = type_of_fexpr(ctx, lhs)?;
+            let tl = infer(ctx, lhs)?;
             expect_fty(&FTy::Int, &tl, "left operand")?;
-            let (tr, s2) = type_of_fexpr(&ctx.with_sigma(s1), rhs)?;
+            let tr = infer(ctx, rhs)?;
             expect_fty(&FTy::Int, &tr, "right operand")?;
-            Ok((FTy::Int, s2))
+            Ok(FTy::Int)
         }
         FExpr::If0 {
             cond,
             then_branch,
             else_branch,
         } => {
-            let (tc, s0) = type_of_fexpr(ctx, cond)?;
+            let tc = infer(ctx, cond)?;
             expect_fty(&FTy::Int, &tc, "if0 condition")?;
-            let branch_ctx = ctx.with_sigma(s0);
-            let (t1, sa) = type_of_fexpr(&branch_ctx, then_branch)?;
-            let (t2, sb) = type_of_fexpr(&branch_ctx, else_branch)?;
+            let s0 = ctx.sigma.clone();
+            let t1 = infer(ctx, then_branch)?;
+            let sa = std::mem::replace(&mut ctx.sigma, s0);
+            let t2 = infer(ctx, else_branch)?;
             expect_fty(&t1, &t2, "if0 branches")?;
-            if !alpha_eq_stack(&sa, &sb) {
-                return Err(TypeError::mismatch("if0 branch stacks", &sa, &sb));
+            if !alpha_eq_stack(&sa, &ctx.sigma) {
+                return Err(TypeError::mismatch("if0 branch stacks", &sa, &ctx.sigma));
             }
-            Ok((t1, sa))
+            ctx.sigma = sa;
+            Ok(t1)
         }
         FExpr::Lam(lam) => {
             if ctx.delta.lookup(&lam.zeta).is_some() {
@@ -153,18 +157,18 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
             for (x, t) in &lam.params {
                 gamma.insert(x.clone(), t.clone());
             }
-            let body_sigma = StackTy {
-                prefix: lam.phi_in.clone(),
-                tail: StackTail::Var(lam.zeta.clone()),
-            };
-            let body_ctx = FtCtx {
-                psi: ctx.psi.clone(),
+            let mut body_ctx = FtCtx {
+                psi: Rc::clone(&ctx.psi),
                 delta: inner_delta,
                 gamma,
                 chi: ctx.chi.clone(),
-                sigma: body_sigma,
+                sigma: StackTy {
+                    prefix: lam.phi_in.clone(),
+                    tail: StackTail::Var(lam.zeta.clone()),
+                },
             };
-            let (ret, out_sigma) = type_of_fexpr(&body_ctx, &lam.body)?;
+            let ret = infer(&mut body_ctx, &lam.body)?;
+            let out_sigma = body_ctx.sigma;
             let want_out = StackTy {
                 prefix: lam.phi_out.clone(),
                 tail: StackTail::Var(lam.zeta.clone()),
@@ -176,18 +180,15 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
                     &out_sigma,
                 ));
             }
-            Ok((
-                FTy::Arrow {
-                    params: lam.params.iter().map(|(_, t)| t.clone()).collect(),
-                    phi_in: lam.phi_in.clone(),
-                    phi_out: lam.phi_out.clone(),
-                    ret: Box::new(ret),
-                },
-                ctx.sigma.clone(),
-            ))
+            Ok(FTy::Arrow {
+                params: lam.params.iter().map(|(_, t)| t.clone()).collect(),
+                phi_in: lam.phi_in.clone(),
+                phi_out: lam.phi_out.clone(),
+                ret: Box::new(ret),
+            })
         }
         FExpr::App { func, args } => {
-            let (tf, mut s) = type_of_fexpr(ctx, func)?;
+            let tf = infer(ctx, func)?;
             let FTy::Arrow {
                 params,
                 phi_in,
@@ -205,21 +206,25 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
                 )));
             }
             for (p, a) in params.iter().zip(args) {
-                let (ta, s2) = type_of_fexpr(&ctx.with_sigma(s), a)?;
+                let ta = infer(ctx, a)?;
                 expect_fty(p, &ta, "argument")?;
-                s = s2;
             }
-            // The stack must expose φi on top at application time.
-            let (front, rest) = s.split(phi_in.len()).ok_or_else(|| TypeError::StackShape {
-                need: format!("prefix {}", funtal_syntax::display::PrefixDisplay(phi_in)),
-                found: s.clone(),
-            })?;
-            for (have, want) in front.iter().zip(phi_in) {
+            // The stack must expose φi on top at application time; it
+            // leaves φo in its place.
+            let s = &mut ctx.sigma;
+            if phi_in.len() > s.visible_len() {
+                return Err(TypeError::StackShape {
+                    need: format!("prefix {}", funtal_syntax::display::PrefixDisplay(phi_in)),
+                    found: s.clone(),
+                });
+            }
+            for (have, want) in s.prefix.iter().zip(phi_in) {
                 if !alpha_eq_tty(have, want) {
                     return Err(TypeError::mismatch("application stack prefix", want, have));
                 }
             }
-            Ok(((**ret).clone(), rest.cons_prefix(phi_out)))
+            s.prefix.splice(..phi_in.len(), phi_out.iter().cloned());
+            Ok((**ret).clone())
         }
         FExpr::Fold { ann, body } => {
             wf_fty(&ctx.delta, ann)?;
@@ -227,29 +232,26 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
                 return Err(TypeError::wrong_form("a recursive-type annotation", ann));
             };
             let unrolled = subst_fty_var(inner, a, ann);
-            let (tb, s) = type_of_fexpr(ctx, body)?;
+            let tb = infer(ctx, body)?;
             expect_fty(&unrolled, &tb, "fold body")?;
-            Ok((ann.clone(), s))
+            Ok(ann.clone())
         }
         FExpr::Unfold(body) => {
-            let (t, s) = type_of_fexpr(ctx, body)?;
+            let t = infer(ctx, body)?;
             let FTy::Rec(a, inner) = &t else {
                 return Err(TypeError::wrong_form("a value of recursive type", &t));
             };
-            Ok((subst_fty_var(inner, a, &t), s))
+            Ok(subst_fty_var(inner, a, &t))
         }
         FExpr::Tuple(es) => {
             let mut tys = Vec::with_capacity(es.len());
-            let mut s = ctx.sigma.clone();
             for e in es {
-                let (t, s2) = type_of_fexpr(&ctx.with_sigma(s), e)?;
-                tys.push(t);
-                s = s2;
+                tys.push(infer(ctx, e)?);
             }
-            Ok((FTy::Tuple(tys), s))
+            Ok(FTy::Tuple(tys))
         }
         FExpr::Proj { idx, tuple } => {
-            let (t, s) = type_of_fexpr(ctx, tuple)?;
+            let t = infer(ctx, tuple)?;
             let FTy::Tuple(ts) = &t else {
                 return Err(TypeError::wrong_form("a tuple", &t));
             };
@@ -259,7 +261,7 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
                     width: ts.len(),
                 });
             }
-            Ok((ts[*idx - 1].clone(), s))
+            Ok(ts[*idx - 1].clone())
         }
         FExpr::Boundary {
             ty,
@@ -272,36 +274,36 @@ pub fn type_of_fexpr(ctx: &FtCtx, e: &FExpr) -> TResult<(FTy, StackTy)> {
             let t_ty = fty_to_tty(ty);
             // Fig 7: the component is checked under an *empty* register
             // file (embedded assembly may assume nothing about
-            // registers) at marker end{τ𝒯; σ'}.
+            // registers) at marker end{τ𝒯; σ'}, and leaves σ'.
+            let sigma = std::mem::replace(&mut ctx.sigma, sigma_prime.clone());
             let tctx = TCtx::new(
-                ctx.psi.clone(),
+                Rc::clone(&ctx.psi),
                 ctx.delta.clone(),
                 RegFileTy::new(),
-                ctx.sigma.clone(),
-                RetMarker::end(t_ty, sigma_prime.clone()),
+                sigma,
+                RetMarker::end(t_ty, sigma_prime),
             );
-            check_tcomp(&tctx, &ctx.gamma, comp)?;
-            Ok((ty.clone(), sigma_prime))
+            check_tcomp_in(tctx, &ctx.gamma, comp)?;
+            Ok(ty.clone())
         }
     }
 }
 
-/// Checks the `protect φ, ζ` instruction (Fig 7).
-fn check_protect(tctx: &TCtx, phi: &[TTy], zeta: &funtal_syntax::TyVar) -> TResult<TCtx> {
+/// Checks the `protect φ, ζ` instruction (Fig 7), in place.
+fn check_protect(tctx: &mut TCtx, phi: &[TTy], zeta: &funtal_syntax::TyVar) -> TResult<()> {
     if tctx.delta.lookup(zeta).is_some() {
         return Err(TypeError::DuplicateTyVar(zeta.clone()));
     }
-    let (front, rest) = tctx
-        .sigma
-        .split(phi.len())
-        .ok_or_else(|| TypeError::StackShape {
+    if phi.len() > tctx.sigma.visible_len() {
+        return Err(TypeError::StackShape {
             need: format!(
                 "visible prefix {}",
                 funtal_syntax::display::PrefixDisplay(phi)
             ),
             found: tctx.sigma.clone(),
-        })?;
-    for (have, want) in front.iter().zip(phi) {
+        });
+    }
+    for (have, want) in tctx.sigma.prefix.iter().zip(phi) {
         if !alpha_eq_tty(have, want) {
             return Err(TypeError::mismatch("protect prefix", want, have));
         }
@@ -309,52 +311,45 @@ fn check_protect(tctx: &TCtx, phi: &[TTy], zeta: &funtal_syntax::TyVar) -> TResu
     // Transform the marker: a stack marker may not be hidden; an end
     // marker whose stack ends in the protected tail is re-expressed in
     // terms of ζ.
-    let q = match &tctx.q {
-        RetMarker::Stack(i) => {
-            if *i >= phi.len() {
-                return Err(TypeError::ClobbersMarker(
-                    "protect would hide the marker slot",
-                ));
-            }
-            RetMarker::Stack(*i)
+    match &mut tctx.q {
+        RetMarker::Stack(i) if *i >= phi.len() => {
+            return Err(TypeError::ClobbersMarker(
+                "protect would hide the marker slot",
+            ));
         }
-        RetMarker::End { ty, sigma } => {
+        RetMarker::End { sigma, .. } => {
+            let rest = StackTy {
+                prefix: tctx.sigma.prefix[phi.len()..].to_vec(),
+                tail: tctx.sigma.tail.clone(),
+            };
             let exposed = split_suffix(sigma, &rest).map_err(|_| TypeError::StackShape {
                 need: format!("an end-marker stack ending in the protected tail {rest}"),
                 found: sigma.clone(),
             })?;
-            RetMarker::End {
-                ty: ty.clone(),
-                sigma: StackTy {
-                    prefix: exposed,
-                    tail: StackTail::Var(zeta.clone()),
-                },
-            }
+            *sigma = StackTy {
+                prefix: exposed,
+                tail: StackTail::Var(zeta.clone()),
+            };
         }
-        other => other.clone(),
-    };
-    Ok(TCtx {
-        psi: tctx.psi.clone(),
-        delta: tctx.delta.extended(TyVarDecl::stack(zeta.clone())),
-        chi: tctx.chi.clone(),
-        sigma: StackTy {
-            prefix: front,
-            tail: StackTail::Var(zeta.clone()),
-        },
-        q,
-    })
+        _ => {}
+    }
+    tctx.delta.push(TyVarDecl::stack(zeta.clone()));
+    tctx.sigma.prefix.truncate(phi.len());
+    tctx.sigma.tail = StackTail::Var(zeta.clone());
+    Ok(())
 }
 
-/// Checks the `import rd, ζ = σ0, TF[τ](e)` instruction (Fig 7).
+/// Checks the `import rd, ζ = σ0, TF[τ](e)` instruction (Fig 7), in
+/// place.
 fn check_import(
-    tctx: &TCtx,
+    tctx: &mut TCtx,
     gamma: &Gamma,
     rd: funtal_syntax::Reg,
     zeta: &funtal_syntax::TyVar,
     protected: &StackTy,
     ty: &FTy,
     body: &FExpr,
-) -> TResult<TCtx> {
+) -> TResult<()> {
     if tctx.delta.lookup(zeta).is_some() {
         return Err(TypeError::DuplicateTyVar(zeta.clone()));
     }
@@ -381,18 +376,19 @@ fn check_import(
             })
         }
     }
-    let inner_delta = tctx.delta.extended(TyVarDecl::stack(zeta.clone()));
-    let body_ctx = FtCtx {
-        psi: tctx.psi.clone(),
-        delta: inner_delta,
+    let exposed_len = exposed.len();
+    let mut body_ctx = FtCtx {
+        psi: Rc::clone(&tctx.psi),
+        delta: tctx.delta.extended(TyVarDecl::stack(zeta.clone())),
         gamma: gamma.clone(),
         chi: tctx.chi.clone(),
         sigma: StackTy {
-            prefix: exposed.clone(),
+            prefix: exposed,
             tail: StackTail::Var(zeta.clone()),
         },
     };
-    let (tb, out_sigma) = type_of_fexpr(&body_ctx, body)?;
+    let tb = infer(&mut body_ctx, body)?;
+    let out_sigma = body_ctx.sigma;
     if !alpha_eq_fty(&tb, ty) {
         return Err(TypeError::mismatch("import body type", ty, &tb));
     }
@@ -402,34 +398,32 @@ fn check_import(
             found: out_sigma,
         });
     }
-    let out_prefix = out_sigma.prefix;
-    let delta_len = out_prefix.len() as isize - exposed.len() as isize;
+    let mut prefix = out_sigma.prefix;
+    let delta_len = prefix.len() as isize - exposed_len as isize;
     // Fig 7: the result register file is exactly {rd : τ𝒯} — embedded F
     // evaluation may clobber every register.
-    let chi = RegFileTy::from_pairs([(rd, fty_to_tty(ty))]);
+    tctx.chi = RegFileTy::from_pairs([(rd, fty_to_tty(ty))]);
     // Splice the protected tail back under the body's output prefix:
     // σ' = φ' :: σ0.
-    let mut prefix = out_prefix;
     prefix.extend(protected.prefix.iter().cloned());
-    let sigma = StackTy {
+    tctx.sigma = StackTy {
         prefix,
         tail: protected.tail.clone(),
     };
-    Ok(TCtx {
-        psi: tctx.psi.clone(),
-        delta: tctx.delta.clone(),
-        chi,
-        sigma,
-        q: tctx.q.shifted_by(delta_len),
-    })
+    tctx.q = tctx.q.shifted_by(delta_len);
+    Ok(())
 }
 
 /// Checks a T component under the FT rules (Fig 2's component rule with
 /// Fig 7's `import`/`protect` extensions), returning `τ; σ'` from
 /// `ret-type`.
 pub fn check_tcomp(tctx: &TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, StackTy)> {
-    let gamma = gamma.clone();
-    let mut hook = |c: &TCtx, instr: &Instr| match instr {
+    check_tcomp_in(tctx.clone(), gamma, comp)
+}
+
+/// [`check_tcomp`] consuming its context.
+fn check_tcomp_in(tctx: TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, StackTy)> {
+    let mut hook = |c: &mut TCtx, instr: &Instr| match instr {
         Instr::Protect { phi, zeta } => Some(check_protect(c, phi, zeta)),
         Instr::Import {
             rd,
@@ -437,7 +431,7 @@ pub fn check_tcomp(tctx: &TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, St
             protected,
             ty,
             body,
-        } => Some(check_import(c, &gamma, *rd, zeta, protected, ty, body)),
+        } => Some(check_import(c, gamma, *rd, zeta, protected, ty, body)),
         _ => None,
     };
     check_component_with(tctx, comp, &mut hook)
@@ -478,7 +472,7 @@ pub fn typecheck_component(comp: &Component, expected: Option<&FTy>) -> TResult<
                 StackTy::nil(),
                 RetMarker::end(t_ty, StackTy::nil()),
             );
-            check_tcomp(&tctx, &Gamma::new(), c)?;
+            check_tcomp_in(tctx, &Gamma::new(), c)?;
             Ok(want.clone())
         }
     }

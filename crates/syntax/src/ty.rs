@@ -167,6 +167,11 @@ impl RegFileTy {
         RegFileTy(m)
     }
 
+    /// Binds `r` to `ty` in place — `χ[r : τ]` without the copy.
+    pub fn set(&mut self, r: Reg, ty: TTy) {
+        self.0.insert(r, ty);
+    }
+
     /// Returns a copy without `r` — used for the `χ \ q` well-formedness
     /// premise of the `call` rule.
     pub fn without(&self, r: Reg) -> Self {
@@ -275,6 +280,24 @@ impl StackTy {
         } else {
             None
         }
+    }
+
+    /// Pushes `n` `unit` slots on top in place — the stack after
+    /// `salloc n` — moving the existing prefix once.
+    pub fn push_units(&mut self, n: usize) {
+        self.prefix.splice(0..0, std::iter::repeat_n(TTy::Unit, n));
+    }
+
+    /// Removes the top `n` visible slots in place, returning them top
+    /// first.
+    ///
+    /// Returns `None`, leaving `self` unchanged, if fewer than `n` slots
+    /// are visible.
+    pub fn pop_front(&mut self, n: usize) -> Option<Vec<TTy>> {
+        if n > self.prefix.len() {
+            return None;
+        }
+        Some(self.prefix.drain(..n).collect())
     }
 
     /// The number of visible slots.

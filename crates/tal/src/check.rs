@@ -8,6 +8,7 @@
 //! (`import`, `protect`).
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use funtal_syntax::alpha::{alpha_eq_ret, alpha_eq_stack, alpha_eq_tty};
 use funtal_syntax::subst::Subst;
@@ -22,10 +23,14 @@ use crate::wf::{check_distinct, wf_chi, wf_ret, wf_stack, wf_tty, Delta};
 
 /// The static context threaded through instruction checking:
 /// `Ψ; ∆; χ; σ; q`.
+///
+/// `Ψ` never changes inside a sequence, so it is shared: cloning a
+/// context does not copy the heap typing. The other parts are updated
+/// in place as instructions are checked.
 #[derive(Clone, Debug)]
 pub struct TCtx {
     /// Heap typing `Ψ`.
-    pub psi: HeapTyping,
+    pub psi: Rc<HeapTyping>,
     /// Type environment `∆`.
     pub delta: Delta,
     /// Register-file typing `χ`.
@@ -39,14 +44,14 @@ pub struct TCtx {
 impl TCtx {
     /// A fresh context from its five parts.
     pub fn new(
-        psi: HeapTyping,
+        psi: impl Into<Rc<HeapTyping>>,
         delta: Delta,
         chi: RegFileTy,
         sigma: StackTy,
         q: RetMarker,
     ) -> Self {
         TCtx {
-            psi,
+            psi: psi.into(),
             delta,
             chi,
             sigma,
@@ -162,16 +167,26 @@ pub fn ret_addr_type(q: &RetMarker, chi: &RegFileTy, sigma: &StackTy) -> TResult
         .ok_or_else(|| TypeError::wrong_form("a code pointer at the return marker", t))
 }
 
-/// Checks a single pure-T instruction, returning the updated context
+/// The most visible stack cells a stack typing may hold after `salloc`.
+///
+/// An implementation limit beside fuel: `salloc n` is a few bytes of
+/// source but `n` cells of stack typing, so without a bound a single
+/// instruction could ask the checker for any amount of memory. A
+/// `salloc` whose resulting visible stack would exceed this many cells
+/// is a [`TypeError::StackLimit`].
+pub const MAX_STACK_CELLS: usize = 1 << 20;
+
+/// Checks a single pure-T instruction, updating the context in place
 /// (`Ψ;∆;χ;σ;q ⊢ ι ⇒ ∆';χ';σ';q'`).
+///
+/// On error the context may be partly updated and should be discarded.
 ///
 /// # Errors
 ///
 /// Returns [`TypeError::MultiLanguage`] for `import`/`protect`; the FT
 /// checker handles those via the extension hook of
 /// [`check_seq_with`].
-pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
-    let mut out = ctx.clone();
+pub fn check_instr(ctx: &mut TCtx, instr: &Instr) -> TResult<()> {
     match instr {
         Instr::Arith { rd, rs, src, .. } => {
             let ts = ctx.reg(*rs)?;
@@ -183,7 +198,7 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
                 return Err(TypeError::mismatch("aop second operand", &TTy::Int, &tu));
             }
             ctx.guard_write(*rd, "aop destination")?;
-            out.chi = ctx.chi.update(*rd, TTy::Int);
+            ctx.chi.set(*rd, TTy::Int);
         }
         Instr::Bnz { r, target } => {
             let tr = ctx.reg(*r)?;
@@ -194,9 +209,9 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
         }
         Instr::Ld { rd, rs, idx } => {
             let fields = match ctx.reg(*rs)? {
-                TTy::Ref(ts) => ts.clone(),
+                TTy::Ref(ts) => ts,
                 TTy::Boxed(h) => match &**h {
-                    HeapTy::Tuple(ts) => ts.clone(),
+                    HeapTy::Tuple(ts) => ts,
                     other => return Err(TypeError::wrong_form("a tuple pointer", other)),
                 },
                 other => return Err(TypeError::wrong_form("a tuple pointer", other)),
@@ -209,14 +224,14 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
                 })?
                 .clone();
             ctx.guard_write(*rd, "ld destination")?;
-            out.chi = ctx.chi.update(*rd, ty);
+            ctx.chi.set(*rd, ty);
         }
         Instr::St { rd, idx, rs } => {
             if ctx.q == RetMarker::Reg(*rs) {
                 return Err(TypeError::MarkerEscape("st of the return continuation"));
             }
             let fields = match ctx.reg(*rd)? {
-                TTy::Ref(ts) => ts.clone(),
+                TTy::Ref(ts) => ts,
                 other => {
                     return Err(TypeError::wrong_form(
                         "a mutable (ref) tuple pointer",
@@ -235,23 +250,25 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
         }
         Instr::Ralloc { rd, n } | Instr::Balloc { rd, n } => {
             ctx.guard_write(*rd, "alloc destination")?;
-            let (front, rest) = ctx.sigma.split(*n).ok_or_else(|| TypeError::StackShape {
-                need: format!("{n} visible slots to allocate from"),
-                found: ctx.sigma.clone(),
-            })?;
+            if *n > ctx.sigma.visible_len() {
+                return Err(TypeError::StackShape {
+                    need: format!("{n} visible slots to allocate from"),
+                    found: ctx.sigma.clone(),
+                });
+            }
             if let RetMarker::Stack(i) = ctx.q {
                 if i < *n {
                     return Err(TypeError::ClobbersMarker("alloc of the marker slot"));
                 }
-                out.q = RetMarker::Stack(i - n);
+                ctx.q = RetMarker::Stack(i - n);
             }
+            let front = ctx.sigma.pop_front(*n).expect("length checked");
             let ty = if matches!(instr, Instr::Ralloc { .. }) {
                 TTy::Ref(front)
             } else {
                 TTy::boxed_tuple(front)
             };
-            out.chi = ctx.chi.update(*rd, ty);
-            out.sigma = rest;
+            ctx.chi.set(*rd, ty);
         }
         Instr::Mv { rd, src } => {
             // Second rule of Fig 2: moving the continuation moves the
@@ -259,45 +276,50 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
             if let (SmallVal::Reg(rs), RetMarker::Reg(qr)) = (src, &ctx.q) {
                 if rs == qr {
                     let ty = ctx.reg(*rs)?.clone();
-                    out.chi = ctx.chi.update(*rd, ty);
-                    out.q = RetMarker::Reg(*rd);
-                    return Ok(out);
+                    ctx.chi.set(*rd, ty);
+                    ctx.q = RetMarker::Reg(*rd);
+                    return Ok(());
                 }
             }
             let ty = type_of_small(&ctx.psi, &ctx.delta, &ctx.chi, src)?;
             ctx.guard_write(*rd, "mv destination")?;
-            out.chi = ctx.chi.update(*rd, ty);
+            ctx.chi.set(*rd, ty);
         }
         Instr::Salloc(n) => {
-            let mut s = ctx.sigma.clone();
-            for _ in 0..*n {
-                s = s.cons(TTy::Unit);
+            let cells = ctx.sigma.visible_len().saturating_add(*n);
+            if cells > MAX_STACK_CELLS {
+                return Err(TypeError::StackLimit {
+                    cells,
+                    limit: MAX_STACK_CELLS,
+                });
             }
-            out.sigma = s;
-            out.q = ctx.q.shifted_by(*n as isize);
+            ctx.sigma.push_units(*n);
+            ctx.q = ctx.q.shifted_by(*n as isize);
         }
         Instr::Sfree(n) => {
-            let (_, rest) = ctx.sigma.split(*n).ok_or_else(|| TypeError::StackShape {
-                need: format!("{n} visible slots to free"),
-                found: ctx.sigma.clone(),
-            })?;
+            if *n > ctx.sigma.visible_len() {
+                return Err(TypeError::StackShape {
+                    need: format!("{n} visible slots to free"),
+                    found: ctx.sigma.clone(),
+                });
+            }
             if let RetMarker::Stack(i) = ctx.q {
                 if i < *n {
                     return Err(TypeError::ClobbersMarker("sfree of the marker slot"));
                 }
-                out.q = RetMarker::Stack(i - n);
+                ctx.q = RetMarker::Stack(i - n);
             }
-            out.sigma = rest;
+            ctx.sigma.prefix.drain(..*n);
         }
         Instr::Sld { rd, idx } => {
             let ty = ctx.slot(*idx)?.clone();
             if ctx.q == RetMarker::Stack(*idx) {
                 // Loading the continuation moves the marker into `rd`.
-                out.chi = ctx.chi.update(*rd, ty);
-                out.q = RetMarker::Reg(*rd);
+                ctx.chi.set(*rd, ty);
+                ctx.q = RetMarker::Reg(*rd);
             } else {
                 ctx.guard_write(*rd, "sld destination")?;
-                out.chi = ctx.chi.update(*rd, ty);
+                ctx.chi.set(*rd, ty);
             }
         }
         Instr::Sst { idx, rs } => {
@@ -305,14 +327,11 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
             ctx.slot(*idx)?;
             if ctx.q == RetMarker::Reg(*rs) {
                 // Storing the continuation moves the marker to slot idx.
-                out.sigma = ctx.sigma.set(*idx, ty).expect("slot checked visible");
-                out.q = RetMarker::Stack(*idx);
-            } else {
-                if ctx.q == RetMarker::Stack(*idx) {
-                    return Err(TypeError::ClobbersMarker("sst over the marker slot"));
-                }
-                out.sigma = ctx.sigma.set(*idx, ty).expect("slot checked visible");
+                ctx.q = RetMarker::Stack(*idx);
+            } else if ctx.q == RetMarker::Stack(*idx) {
+                return Err(TypeError::ClobbersMarker("sst over the marker slot"));
             }
+            ctx.sigma.prefix[*idx] = ty;
         }
         Instr::Unpack { tv, rd, src } => {
             if ctx.delta.lookup(tv).is_some() {
@@ -324,8 +343,8 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
             };
             ctx.guard_write(*rd, "unpack destination")?;
             let opened = Subst::one(a.clone(), Inst::Ty(TTy::Var(tv.clone()))).tty(body);
-            out.delta = ctx.delta.extended(funtal_syntax::TyVarDecl::ty(tv.clone()));
-            out.chi = ctx.chi.update(*rd, opened);
+            ctx.delta.push(funtal_syntax::TyVarDecl::ty(tv.clone()));
+            ctx.chi.set(*rd, opened);
         }
         Instr::Unfold { rd, src } => {
             let t = type_of_small(&ctx.psi, &ctx.delta, &ctx.chi, src)?;
@@ -334,12 +353,12 @@ pub fn check_instr(ctx: &TCtx, instr: &Instr) -> TResult<TCtx> {
             };
             ctx.guard_write(*rd, "unfold destination")?;
             let unrolled = Subst::one(a.clone(), Inst::Ty(t.clone())).tty(body);
-            out.chi = ctx.chi.update(*rd, unrolled);
+            ctx.chi.set(*rd, unrolled);
         }
         Instr::Protect { .. } => return Err(TypeError::MultiLanguage("protect")),
         Instr::Import { .. } => return Err(TypeError::MultiLanguage("import")),
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Shared precondition check for `jmp`/`bnz` targets: the target must be
@@ -612,19 +631,19 @@ fn check_call(ctx: &TCtx, target: &SmallVal, sigma0: &StackTy, qarg: &RetMarker)
 }
 
 /// An extension hook for multi-language instructions. Returning `None`
-/// means "not handled" (the pure-T rules apply); `Some(result)` supplies
-/// the updated context.
-pub type ExtHook<'a> = dyn FnMut(&TCtx, &Instr) -> Option<TResult<TCtx>> + 'a;
+/// means "not handled" (the pure-T rules apply); `Some(result)` reports
+/// the outcome of updating the context in place.
+pub type ExtHook<'a> = dyn FnMut(&mut TCtx, &Instr) -> Option<TResult<()>> + 'a;
 
 /// Checks an instruction sequence with an extension hook for
-/// multi-language instructions.
-pub fn check_seq_with(ctx: TCtx, seq: &InstrSeq, ext: &mut ExtHook<'_>) -> TResult<()> {
-    let mut ctx = ctx;
+/// multi-language instructions, threading the one context through every
+/// instruction in place.
+pub fn check_seq_with(mut ctx: TCtx, seq: &InstrSeq, ext: &mut ExtHook<'_>) -> TResult<()> {
     for (i, instr) in seq.instrs.iter().enumerate() {
         check_marker(&ctx).map_err(|e| e.at(format!("instruction {i} ({instr})")))?;
-        ctx = match ext(&ctx, instr) {
+        match ext(&mut ctx, instr) {
             Some(res) => res,
-            None => check_instr(&ctx, instr),
+            None => check_instr(&mut ctx, instr),
         }
         .map_err(|e| e.at(format!("instruction {i} ({instr})")))?;
     }
@@ -648,13 +667,31 @@ pub fn infer_heap_typing(
     psi_base: &HeapTyping,
     require_box: bool,
 ) -> TResult<HeapTyping> {
+    let heap: Vec<(Label, HeapVal)> = heap.into_iter().collect();
+    let mut combined = psi_base.clone();
+    extend_heap_typing(&mut combined, heap.iter().map(|(l, v)| (l, v)), require_box)?;
     let mut out = HeapTyping::new();
-    let mut pending: BTreeMap<Label, (Mutability, Vec<funtal_syntax::WordVal>)> = BTreeMap::new();
+    for (l, _) in &heap {
+        let (m, ty) = combined.get(l).expect("just inferred").clone();
+        out.insert(l.clone(), m, ty);
+    }
+    Ok(out)
+}
+
+/// Extends `psi` in place with the typing of a heap fragment, so that
+/// it becomes `Ψ, Ψ'` (right-biased): the fragment's tuples are typed
+/// under the fragment's own bindings as well as `psi`'s.
+fn extend_heap_typing<'h>(
+    psi: &mut HeapTyping,
+    heap: impl IntoIterator<Item = (&'h Label, &'h HeapVal)>,
+    require_box: bool,
+) -> TResult<()> {
+    let mut pending: BTreeMap<&Label, (Mutability, &[funtal_syntax::WordVal])> = BTreeMap::new();
     for (l, hv) in heap {
         match hv {
             HeapVal::Code(b) => {
-                out.insert(
-                    l,
+                psi.insert(
+                    l.clone(),
                     Mutability::Boxed,
                     HeapTy::Code(CodeTy {
                         delta: b.delta.clone(),
@@ -665,28 +702,26 @@ pub fn infer_heap_typing(
                 );
             }
             HeapVal::Tuple { mutability, fields } => {
-                if require_box && mutability == Mutability::Ref {
-                    return Err(TypeError::LocalHeapNotBox(l));
+                if require_box && *mutability == Mutability::Ref {
+                    return Err(TypeError::LocalHeapNotBox(l.clone()));
                 }
-                pending.insert(l, (mutability, fields));
+                pending.insert(l, (*mutability, fields));
             }
         }
     }
     let delta = Delta::new();
     while !pending.is_empty() {
         let mut progressed = false;
-        let labels: Vec<Label> = pending.keys().cloned().collect();
+        let labels: Vec<&Label> = pending.keys().copied().collect();
         for l in labels {
-            let (m, fields) = &pending[&l];
-            let mut combined = psi_base.clone();
-            combined.extend(&out);
+            let (m, fields) = pending[l];
             let tys: TResult<Vec<TTy>> = fields
                 .iter()
-                .map(|w| type_of_word(&combined, &delta, w))
+                .map(|w| type_of_word(psi, &delta, w))
                 .collect();
             if let Ok(tys) = tys {
-                out.insert(l.clone(), *m, HeapTy::Tuple(tys));
-                pending.remove(&l);
+                psi.insert(l.clone(), m, HeapTy::Tuple(tys));
+                pending.remove(l);
                 progressed = true;
             }
         }
@@ -698,13 +733,13 @@ pub fn infer_heap_typing(
             )));
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Checks one code block under a full heap typing, with an extension
 /// hook for multi-language instructions.
 pub fn check_block_with(
-    psi: &HeapTyping,
+    psi: &Rc<HeapTyping>,
     label: &Label,
     block: &CodeBlock,
     ext: &mut ExtHook<'_>,
@@ -715,7 +750,7 @@ pub fn check_block_with(
     wf_stack(&delta, &block.sigma).map_err(|e| e.at(format!("block {label} σ")))?;
     wf_ret(&delta, &block.q).map_err(|e| e.at(format!("block {label} q")))?;
     let ctx = TCtx::new(
-        psi.clone(),
+        Rc::clone(psi),
         delta,
         block.chi.clone(),
         block.sigma.clone(),
@@ -726,41 +761,36 @@ pub fn check_block_with(
 
 /// Checks a pure-T code block.
 pub fn check_block(psi: &HeapTyping, label: &Label, block: &CodeBlock) -> TResult<()> {
-    check_block_with(psi, label, block, &mut |_, _| None)
+    check_block_with(&Rc::new(psi.clone()), label, block, &mut |_, _| None)
 }
 
 /// Checks a T component `Ψ;∆;χ;σ;q ⊢ (I,H) : τ;σ'` (Fig 2), with an
 /// extension hook, returning the result type and stack from
 /// `ret-type(q, χ, σ)`.
+///
+/// The context is consumed: it becomes the entry sequence's context.
+/// A component without local heap shares the caller's `Ψ` outright.
 pub fn check_component_with(
-    ctx: &TCtx,
+    mut ctx: TCtx,
     comp: &TComp,
     ext: &mut ExtHook<'_>,
 ) -> TResult<(TTy, StackTy)> {
-    let psi_local = infer_heap_typing(
-        comp.heap.iter().map(|(l, v)| (l.clone(), v.clone())),
-        &ctx.psi,
-        true,
-    )?;
-    let mut psi_full = ctx.psi.clone();
-    psi_full.extend(&psi_local);
+    if !comp.heap.is_empty() {
+        extend_heap_typing(Rc::make_mut(&mut ctx.psi), comp.heap.iter(), true)?;
+    }
     for (l, hv) in comp.heap.iter() {
         if let HeapVal::Code(b) = hv {
-            check_block_with(&psi_full, l, b, ext)?;
+            check_block_with(&ctx.psi, l, b, ext)?;
         }
     }
     let result = ret_type(&ctx.q, &ctx.chi, &ctx.sigma)?;
-    let main_ctx = TCtx {
-        psi: psi_full,
-        ..ctx.clone()
-    };
-    check_seq_with(main_ctx, &comp.seq, ext)?;
+    check_seq_with(ctx, &comp.seq, ext)?;
     Ok(result)
 }
 
 /// Checks a pure-T component.
 pub fn check_component(ctx: &TCtx, comp: &TComp) -> TResult<(TTy, StackTy)> {
-    check_component_with(ctx, comp, &mut |_, _| None)
+    check_component_with(ctx.clone(), comp, &mut |_, _| None)
 }
 
 /// Checks a closed, whole T program: a component executed on an empty

@@ -97,6 +97,14 @@ pub enum TypeError {
         /// The actual stack typing.
         found: StackTy,
     },
+    /// `salloc` would grow the visible stack past the checker's
+    /// implementation limit ([`crate::check::MAX_STACK_CELLS`]).
+    StackLimit {
+        /// Visible cells the stack would hold.
+        cells: usize,
+        /// The limit.
+        limit: usize,
+    },
     /// Anything else, with a description.
     Other(String),
     /// An error wrapped with a location breadcrumb.
@@ -210,6 +218,11 @@ impl fmt::Display for TypeError {
             TypeError::StackShape { need, found } => {
                 write!(f, "stack shape mismatch: need {need}, stack is {found}")
             }
+            TypeError::StackLimit { cells, limit } => write!(
+                f,
+                "salloc would grow the visible stack to {cells} cells, over the \
+                 implementation limit of {limit} (MAX_STACK_CELLS)"
+            ),
             TypeError::Other(s) => f.write_str(s),
             TypeError::Context { at, cause } => write!(f, "{at}: {cause}"),
         }

@@ -52,7 +52,9 @@ pub mod trace;
 pub mod value_ty;
 pub mod wf;
 
-pub use check::{check_component, check_program, check_seq, ret_addr_type, ret_type, TCtx};
+pub use check::{
+    check_component, check_program, check_seq, ret_addr_type, ret_type, TCtx, MAX_STACK_CELLS,
+};
 pub use error::{RResult, RuntimeError, TResult, TypeError};
 pub use machine::{run_component, run_program, Memory, Outcome, Stack};
 pub use profile::{AttributedEvent, ProfileEntry, Profiler, RootLang};
