@@ -283,7 +283,7 @@ fn infer(ctx: &mut FtCtx, e: &FExpr) -> TResult<FTy> {
                 sigma,
                 RetMarker::end(t_ty, sigma_prime),
             );
-            check_tcomp_in(tctx, &ctx.gamma, comp)?;
+            check_tcomp(tctx, &ctx.gamma, comp)?;
             Ok(ty.clone())
         }
     }
@@ -416,13 +416,8 @@ fn check_import(
 
 /// Checks a T component under the FT rules (Fig 2's component rule with
 /// Fig 7's `import`/`protect` extensions), returning `τ; σ'` from
-/// `ret-type`.
-pub fn check_tcomp(tctx: &TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, StackTy)> {
-    check_tcomp_in(tctx.clone(), gamma, comp)
-}
-
-/// [`check_tcomp`] consuming its context.
-fn check_tcomp_in(tctx: TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, StackTy)> {
+/// `ret-type`. The context is consumed, as in [`check_component_with`].
+pub fn check_tcomp(tctx: TCtx, gamma: &Gamma, comp: &TComp) -> TResult<(TTy, StackTy)> {
     let mut hook = |c: &mut TCtx, instr: &Instr| match instr {
         Instr::Protect { phi, zeta } => Some(check_protect(c, phi, zeta)),
         Instr::Import {
@@ -472,7 +467,7 @@ pub fn typecheck_component(comp: &Component, expected: Option<&FTy>) -> TResult<
                 StackTy::nil(),
                 RetMarker::end(t_ty, StackTy::nil()),
             );
-            check_tcomp_in(tctx, &Gamma::new(), c)?;
+            check_tcomp(tctx, &Gamma::new(), c)?;
             Ok(want.clone())
         }
     }
