@@ -166,10 +166,11 @@ fn interpreted_vs_compiled(c: &mut Criterion) {
     g.finish();
 }
 
-/// Steady-state workloads over the environment-strategy runtime:
-/// fib up to 24 (interpreted and compiled), the evaluation-strategy
-/// ablation on the same program, deep tuple marshalling across the
-/// boundary, and a boundary-crossing ping-pong loop.
+/// Steady-state workloads over the default (bytecode) runtime: fib up
+/// to 24 (interpreted and compiled through `run_fexpr`, plus the
+/// pre-lowered bytecode row), the evaluation-strategy ablation on
+/// factorial, deep tuple marshalling across the boundary, and a
+/// boundary-crossing ping-pong loop.
 fn steady_state(c: &mut Criterion) {
     use funtal::machine::EvalStrategy;
 
@@ -207,14 +208,14 @@ fn steady_state(c: &mut Criterion) {
     g.finish();
 
     // Strategy ablation: the same program under the substitution
-    // oracle and the environment machine.
+    // oracle and the bytecode runtime.
     let fp = factorial_program();
     let fact = compile_program(&fp, CodegenOpts::default()).wrap("fact");
     let prog = app(fact, vec![fint_e(12)]);
     let mut g = c.benchmark_group("strategy_ablation");
     for (name, strategy) in [
         ("substitution", EvalStrategy::Substitution),
-        ("environment", EvalStrategy::Environment),
+        ("bytecode", EvalStrategy::Bytecode),
     ] {
         g.bench_with_input(BenchmarkId::new(name, 12), &12, |b, _| {
             b.iter(|| {

@@ -111,9 +111,11 @@ fn mixed_configuration_equiv() {
 
 #[test]
 fn jit_ladder_is_observably_equivalent_across_tiers() {
+    use funtal::machine::{run_fexpr_threaded, EvalStrategy, RunCfg};
     use funtal_compile::jit::{Jit, Mode};
-    // Threshold 1: the three invocations climb the whole ladder —
-    // interpreted, compiled, bytecode — over the same call.
+    use funtal_tal::trace::CountTracer;
+    // Threshold 1: the invocations climb the whole ladder —
+    // interpreted, then compiled — over the same call.
     let mut jit = Jit::new(
         fib_program(),
         1,
@@ -126,16 +128,29 @@ fn jit_ladder_is_observably_equivalent_across_tiers() {
     let s3 = jit.invoke("fib", &[10], 5_000_000).unwrap();
     assert_eq!(s1.mode, Mode::Interpreted);
     assert_eq!(s2.mode, Mode::Compiled);
-    assert_eq!(s3.mode, Mode::Bytecode);
+    assert_eq!(s3.mode, Mode::Compiled);
     // Every rung computes the same value.
     assert_eq!(s1.result, s2.result);
     assert_eq!(s2.result, s3.result);
-    // Compiled and bytecode share a configuration, so the tier switch
-    // must be invisible in the step accounting too.
+    // The compiled rung runs on the bytecode VM; its step accounting
+    // must be exactly the substitution oracle's on the same
+    // materialization.
+    let call = app(jit.materialize("fib"), vec![fint_e(10)]);
+    let (_, oracle) = run_fexpr_threaded(
+        &call,
+        RunCfg::with_fuel(5_000_000).with_strategy(EvalStrategy::Substitution),
+        CountTracer::new(),
+    )
+    .unwrap();
+    assert_eq!(
+        (s2.t_instrs, s2.f_steps, s2.crossings),
+        (oracle.instrs, oracle.f_steps, oracle.crossings),
+        "bytecode VM changed observable step counts"
+    );
     assert_eq!(
         (s2.t_instrs, s2.f_steps, s2.crossings),
         (s3.t_instrs, s3.f_steps, s3.crossings),
-        "bytecode tier changed observable step counts"
+        "re-running the compiled configuration changed its step counts"
     );
 }
 
@@ -244,24 +259,24 @@ proptest! {
                 .expect("compiled program runs");
             prop_assert_eq!(&got, &fint_e(expected), "{:?}", opts);
 
-            // The bytecode tier computes the same value with the same
-            // step counts as the environment machine.
+            // The default (bytecode) runtime computes the same value
+            // with the same step counts as the substitution oracle.
             use funtal::machine::{run_fexpr_threaded, EvalStrategy, FtOutcome, RunCfg};
             use funtal_tal::trace::CountTracer;
-            let (env_out, env_tr) =
+            let (bc_out, bc_tr) =
                 run_fexpr_threaded(&call, RunCfg::with_fuel(5_000_000), CountTracer::new())
-                    .expect("environment run");
-            let (bc_out, bc_tr) = run_fexpr_threaded(
+                    .expect("bytecode run");
+            let (sub_out, sub_tr) = run_fexpr_threaded(
                 &call,
-                RunCfg::with_fuel(5_000_000).with_strategy(EvalStrategy::Bytecode),
+                RunCfg::with_fuel(5_000_000).with_strategy(EvalStrategy::Substitution),
                 CountTracer::new(),
             )
-            .expect("bytecode run");
+            .expect("substitution run");
             prop_assert_eq!(&bc_out, &FtOutcome::Value(fint_e(expected)), "{:?}", opts);
-            prop_assert_eq!(&bc_out, &env_out);
+            prop_assert_eq!(&bc_out, &sub_out);
             prop_assert_eq!(
                 (bc_tr.instrs, bc_tr.f_steps, bc_tr.crossings, bc_tr.transfers),
-                (env_tr.instrs, env_tr.f_steps, env_tr.crossings, env_tr.transfers),
+                (sub_tr.instrs, sub_tr.f_steps, sub_tr.crossings, sub_tr.transfers),
                 "{:?}", opts
             );
         }

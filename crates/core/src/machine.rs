@@ -10,6 +10,13 @@
 //!
 //! Everything else is either an F reduction (performed structurally on
 //! the expression) or a T step (delegated to the `funtal-tal` machine).
+//!
+//! This term-rewriting machine is the executable specification and the
+//! differential-testing oracle ([`EvalStrategy::Substitution`]). The
+//! default runtime ([`EvalStrategy::Bytecode`]) computes the same
+//! function on the CEK machine of [`crate::machine_fast`] and the
+//! bytecode VM of [`crate::machine_bc`]; [`run`] dispatches between the
+//! two.
 
 use std::collections::BTreeMap;
 
@@ -22,25 +29,21 @@ use funtal_tal::trace::{Event, Tracer};
 use crate::translate::{f_to_t, t_to_f};
 
 /// How the machine evaluates: the paper-literal substitution semantics
-/// or the environment-passing machine that computes the same thing.
+/// or the fast runtime that computes the same thing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvalStrategy {
     /// Term-rewriting small steps exactly as in Fig 8: every reduction
     /// rebuilds the term, β-reduction substitutes. The executable
     /// specification, kept as the differential-testing oracle.
     Substitution,
-    /// The CEK-style machine of [`crate::machine_fast`]: explicit
-    /// continuation stack + value environment for F, compiled-cursor
-    /// execution with a flat heap for T. Observably identical
-    /// (including fuel accounting, events, and fresh labels), much
-    /// faster. The default.
+    /// The fast runtime: the CEK-style machine of
+    /// [`crate::machine_fast`] (explicit continuation stack + value
+    /// environment) for F, and the direct-threaded bytecode VM of
+    /// [`crate::machine_bc`] for T — each T component is lowered whole
+    /// to a flat linear IR with jump targets resolved to absolute
+    /// offsets. Observably identical to the oracle (including fuel
+    /// accounting, events, and fresh labels), much faster. The default.
     #[default]
-    Environment,
-    /// The direct-threaded bytecode VM of [`crate::machine_bc`]: each T
-    /// component is lowered whole to a flat linear IR with jump targets
-    /// resolved to absolute offsets, sharing the environment machine's
-    /// F side. Observably identical to both other strategies; the
-    /// fastest tier for T-heavy programs.
     Bytecode,
 }
 
@@ -92,7 +95,7 @@ impl RunCfg {
 // thread over artifacts shared via `Arc`. Everything a worker receives
 // (configuration, programs, memories) and everything it sends back
 // (outcomes) must therefore be `Send + Sync`; the fast machine's `Rc`
-// values and thread-local compiled-block caches are per-worker
+// values and thread-local lowered-block caches are per-worker
 // internals and never cross threads. These assertions are the
 // compile-time contract — adding an `Rc` or `Cell` to any shared type
 // fails the build here, not intermittently at runtime.
@@ -388,7 +391,6 @@ pub fn run(
     tracer: &mut dyn Tracer,
 ) -> RResult<FtOutcome> {
     match cfg.strategy {
-        EvalStrategy::Environment => crate::machine_fast::run_fast(mem, comp, cfg, tracer),
         EvalStrategy::Bytecode => crate::machine_bc::run_bc(mem, comp, cfg, tracer),
         EvalStrategy::Substitution => run_subst(mem, comp, cfg, tracer),
     }

@@ -217,7 +217,7 @@ impl Job {
                     Some(Json::Str(name)) => Some(crate::parse_tier(name).ok_or_else(|| {
                         FunTalError::driver(format!(
                             "job {id}: unknown tier `{name}` \
-                             (use substitution, environment, or bytecode)"
+                             (use substitution or bytecode)"
                         ))
                     })?),
                     Some(other) => {
@@ -696,9 +696,9 @@ impl Batch {
                     pipeline = pipeline.with_tier(*t);
                 }
                 // The cache proved the term well-typed; evaluate
-                // without re-checking. Bytecode runs go through the
-                // lowered-artifact cache, so only the first job per
-                // distinct program pays for register allocation.
+                // without re-checking. Bytecode (default-tier) runs go
+                // through the lowered-artifact cache, so only the first
+                // job per distinct program pays for lowering.
                 let bytecode = pipeline.tier() == EvalStrategy::Bytecode;
                 let lowered = bytecode.then(|| {
                     self.cache
@@ -950,29 +950,34 @@ mod tests {
         for line in [
             "{\"cmd\":\"run\",\"src\":\"1\",\"tier\":\"jit\"}",
             "{\"cmd\":\"run\",\"src\":\"1\",\"tier\":7}",
+            // Names of a removed tier.
+            "{\"cmd\":\"run\",\"src\":\"1\",\"tier\":\"environment\"}",
+            "{\"cmd\":\"run\",\"src\":\"1\",\"tier\":\"env\"}",
         ] {
             assert!(
                 matches!(Job::parse_jsonl(line)[0].kind, JobKind::Invalid { .. }),
                 "accepted: {line}"
             );
         }
-    }
-
-    #[test]
-    fn bytecode_jobs_agree_with_default_tier() {
-        let batch = Batch::new(Pipeline::new());
-        let src = "FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})";
-        let report = batch.run(&[
-            Job::run("env", src),
-            Job::run_tiered("bc", src, EvalStrategy::Bytecode),
-        ]);
-        let env = report.outcomes[0].to_json().to_string();
-        let bc = report.outcomes[1].to_json().to_string();
-        // Same value, type, and step counts — only the id differs.
-        assert_eq!(
-            env.replace("\"id\":\"env\"", ""),
-            bc.replace("\"id\":\"bc\"", ""),
-            "bytecode tier diverged:\n{env}\n{bc}"
+        // A rejected tier fails only its own job: the rest of the
+        // stream still runs.
+        let jobs = Job::parse_jsonl(concat!(
+            "{\"id\":\"old\",\"cmd\":\"run\",\"src\":\"1\",\"tier\":\"environment\"}\n",
+            "{\"id\":\"next\",\"cmd\":\"run\",\"src\":\"1 + 2\"}\n",
+        ));
+        let report = Batch::new(Pipeline::new()).run(&jobs);
+        let text = report.result_lines();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(report.err_count(), 1, "{text}");
+        assert!(
+            lines[0].contains("unknown tier `environment`"),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].contains("\"id\":\"next\"") && lines[1].contains("\"value\":\"3\""),
+            "{}",
+            lines[1]
         );
     }
 
@@ -984,16 +989,17 @@ mod tests {
         let cold = batch.cache().stats();
         assert_eq!((cold.lower.hits, cold.lower.misses), (0, 1));
         // Second batch over the same program (even formatted
-        // differently): the lowering is served from cache.
+        // differently, and on the default tier, which is bytecode):
+        // the lowering is served from cache.
         let resrc = src.replace("; ", ";  ");
         batch.run(&[
             Job::run_tiered("b", src, EvalStrategy::Bytecode),
-            Job::run_tiered("c", &resrc, EvalStrategy::Bytecode),
+            Job::run("c", &resrc),
         ]);
         let warm = batch.cache().stats();
         assert_eq!((warm.lower.hits, warm.lower.misses), (2, 1));
-        // Non-bytecode runs never touch the lowering cache.
-        batch.run(&[Job::run("d", src)]);
+        // Substitution runs never touch the lowering cache.
+        batch.run(&[Job::run_tiered("d", src, EvalStrategy::Substitution)]);
         assert_eq!(batch.cache().stats().lower, warm.lower);
     }
 

@@ -87,11 +87,10 @@ fn minif_span_table(
 }
 
 /// Parses an execution-tier (= evaluation-strategy) name as the CLI
-/// flags and the batch job protocol spell them.
+/// flag and the batch job protocol spell them.
 pub fn parse_tier(name: &str) -> Option<ExecTier> {
     match name {
         "substitution" | "subst" => Some(EvalStrategy::Substitution),
-        "environment" | "env" => Some(EvalStrategy::Environment),
         "bytecode" | "bc" => Some(EvalStrategy::Bytecode),
         _ => None,
     }
@@ -107,7 +106,7 @@ pub struct Pipeline {
     fuel: u64,
     /// Run the dynamic type-safety guard at every T jump.
     guard: bool,
-    /// Which evaluator runs programs (environment-passing by default).
+    /// Which evaluator runs programs (the bytecode runtime by default).
     strategy: EvalStrategy,
     /// Code-generation options for the MiniF stage.
     codegen: CodegenOpts,
@@ -147,18 +146,17 @@ impl Pipeline {
         self
     }
 
-    /// Selects the evaluation strategy (environment-passing by
-    /// default; substitution is the paper-literal oracle; bytecode is
-    /// the direct-threaded tier below the compiled cursor).
+    /// Selects the evaluation strategy (bytecode, the fast runtime, by
+    /// default; substitution is the paper-literal oracle).
     pub fn with_strategy(mut self, strategy: EvalStrategy) -> Pipeline {
         self.strategy = strategy;
         self
     }
 
     /// Selects the execution tier. `ExecTier` is the strategy enum
-    /// viewed as a performance ladder (substitution → environment →
-    /// bytecode), so this is [`with_strategy`](Pipeline::with_strategy)
-    /// under the tier vocabulary the CLI and batch protocol use.
+    /// viewed as a performance ladder (substitution → bytecode), so
+    /// this is [`with_strategy`](Pipeline::with_strategy) under the
+    /// tier vocabulary the CLI and batch protocol use.
     pub fn with_tier(self, tier: ExecTier) -> Pipeline {
         self.with_strategy(tier)
     }
@@ -316,8 +314,8 @@ impl Pipeline {
     /// known — the bytecode-tier analogue of
     /// [`run_prechecked`](Pipeline::run_prechecked). The batch engine
     /// calls this when its cache already holds both the type and the
-    /// lowered artifact, so a warm `--tier bytecode` run is hash
-    /// lookups plus the dispatch loop: no re-parse, no re-check, no
+    /// lowered artifact, so a warm default-tier run is hash lookups
+    /// plus the dispatch loop: no re-parse, no re-check, no
     /// re-lowering.
     pub fn run_prelowered(
         &self,
@@ -338,12 +336,12 @@ impl Pipeline {
     /// it with a [`Profiler`] tracer that charges every fuel tick to
     /// the source span responsible for it.
     ///
-    /// The profile is a pure function of the program — the three
-    /// execution tiers emit byte-identical renderings (certified by
-    /// the differential tests), so a profile taken on the fast tier
-    /// speaks for the paper-literal oracle too. The span scope is
-    /// installed for the duration so blocks compiled during the run
-    /// also bake their spans for the introspection APIs.
+    /// The profile is a pure function of the program — both execution
+    /// tiers emit byte-identical renderings (certified by the
+    /// differential tests), so a profile taken on the fast tier speaks
+    /// for the paper-literal oracle too. The span scope is installed
+    /// for the duration so blocks lowered during the run also bake
+    /// their spans for the introspection APIs.
     pub fn profile_prechecked(
         &self,
         e: &FExpr,

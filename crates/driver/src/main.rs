@@ -14,7 +14,7 @@
 
 use std::process::ExitCode;
 
-use funtal::machine::EvalStrategy;
+use funtal::machine::ExecTier;
 use funtal_compile::codegen::CodegenOpts;
 use funtal_driver::{Batch, FunTalError, Job, JobKind, Pipeline};
 use funtal_equiv::EquivCfg;
@@ -60,12 +60,9 @@ COMMANDS:
 
 OPTIONS:
     --fuel N        evaluation step bound          [default: 1000000]
-    --strategy S    evaluation strategy: `environment` (fast, default),
-                    `substitution` (the paper-literal Fig 8 oracle), or
-                    `bytecode` (the direct-threaded tier)
-    --tier T        execution tier: `substitution`, `environment`, or
-                    `bytecode` — the strategy ladder under its tier
-                    name; same as --strategy
+    --tier T        execution tier: `bytecode` (the fast runtime: CEK
+                    machine for F, bytecode VM for T; the default) or
+                    `substitution` (the paper-literal Fig 8 oracle)
     --guard         enable the dynamic type-safety guard at T jumps
     --steps         print step counts after `run`
     --trace         with `run`: also print the control-flow diagram
@@ -103,7 +100,7 @@ struct Opts {
     /// `Some` only when `--fuel` was given explicitly; `run` and
     /// `equiv` have different defaults.
     fuel: Option<u64>,
-    strategy: EvalStrategy,
+    tier: ExecTier,
     guard: bool,
     steps: bool,
     trace: bool,
@@ -126,7 +123,7 @@ fn parse_args(args: &[String]) -> Result<Opts, FunTalError> {
     let mut o = Opts {
         files: Vec::new(),
         fuel: None,
-        strategy: EvalStrategy::default(),
+        tier: ExecTier::default(),
         guard: false,
         steps: false,
         trace: false,
@@ -153,12 +150,11 @@ fn parse_args(args: &[String]) -> Result<Opts, FunTalError> {
     while i < args.len() {
         match args[i].as_str() {
             "--fuel" => o.fuel = Some(parse_num(&take(args, &mut i, "--fuel")?, "--fuel")?),
-            flag @ ("--strategy" | "--tier") => {
-                let name = take(args, &mut i, flag)?;
-                o.strategy = funtal_driver::parse_tier(&name).ok_or_else(|| {
+            "--tier" => {
+                let name = take(args, &mut i, "--tier")?;
+                o.tier = funtal_driver::parse_tier(&name).ok_or_else(|| {
                     FunTalError::driver(format!(
-                        "{flag}: `{name}` is not a tier \
-                         (use `environment`, `substitution`, or `bytecode`)"
+                        "--tier: `{name}` is not a tier (use `bytecode` or `substitution`)"
                     ))
                 })?;
             }
@@ -252,7 +248,7 @@ impl Opts {
 fn pipeline(o: &Opts) -> Pipeline {
     Pipeline::new()
         .with_fuel(o.run_fuel())
-        .with_strategy(o.strategy)
+        .with_tier(o.tier)
         .with_guard(o.guard)
         .with_codegen(CodegenOpts {
             tail_call_opt: o.tco,

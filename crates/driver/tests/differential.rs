@@ -1,24 +1,24 @@
 //! Driver-level differential property tests.
 //!
 //! The core crate already proves (in `strategy_equiv.rs`) that the
-//! Fig 8 substitution oracle and the environment-passing machine agree
-//! on the figures. This suite pushes that property up through the
-//! driver over a *generated* corpus of well-typed programs — pure F,
-//! pure-T boundaries, Fig 9/10-style import/export lambdas, and the
-//! paper's figures at sampled inputs (`funtal_equiv::gen::gen_program`)
-//! — and adds the bytecode tier and the batch engine as further
-//! contenders:
+//! Fig 8 substitution oracle and the fast runtime (CEK machine for F,
+//! bytecode VM for T) agree on the figures. This suite pushes that
+//! property up through the driver over a *generated* corpus of
+//! well-typed programs — pure F, pure-T boundaries, Fig 9/10-style
+//! import/export lambdas, and the paper's figures at sampled inputs
+//! (`funtal_equiv::gen::gen_program`) — and adds the batch engine as a
+//! further contender:
 //!
-//! - **Substitution vs Environment vs Bytecode** through
-//!   [`Pipeline::trace`]: identical outcomes, identical event streams,
-//!   identical step/fuel accounting — the direct-threaded tier is held
-//!   to the exact observable behavior of the paper-literal oracle.
+//! - **Substitution vs the default tier** through [`Pipeline::trace`]:
+//!   identical outcomes, identical event streams, identical step/fuel
+//!   accounting — the bytecode runtime is held to the exact observable
+//!   behavior of the paper-literal oracle.
 //! - **Batch vs sequential**: the batch engine consumes each program's
 //!   canonical *rendering* as a source job and must reproduce the
-//!   in-memory pipeline's outcome, type, and counts exactly — and its
-//!   rendered result lines must be byte-identical across worker counts.
-//!   Bytecode-tier batch jobs (through the lowered-artifact cache) must
-//!   agree with all of the above.
+//!   in-memory pipeline's outcome, type, and counts exactly — on the
+//!   default tier (through the lowered-artifact cache) and on the
+//!   substitution tier alike — and its rendered result lines must be
+//!   byte-identical across worker counts.
 //!
 //! The committed corpus (`tests/corpus/differential_seeds.txt`) keeps a
 //! fixed seed list so failures reproduce; the proptest below samples
@@ -38,101 +38,84 @@ fn base_pipeline() -> Pipeline {
     Pipeline::new().with_fuel(FUEL)
 }
 
-/// The four-way differential assertion for one generated program.
-fn assert_differential_clean(p: &GenProgram) {
-    let subst = base_pipeline()
-        .with_strategy(EvalStrategy::Substitution)
-        .trace(&p.expr)
-        .unwrap_or_else(|e| panic!("{}: substitution failed: {e}\n{}", p.describe, p.expr));
-    let env = base_pipeline()
-        .with_strategy(EvalStrategy::Environment)
-        .trace(&p.expr)
-        .unwrap_or_else(|e| panic!("{}: environment failed: {e}\n{}", p.describe, p.expr));
-
-    // Strategy equivalence at the driver level: outcome, event stream,
-    // and fuel accounting all match the oracle.
-    assert_eq!(
-        subst.outcome, env.outcome,
-        "{}: outcomes diverge\n{}",
-        p.describe, p.expr
-    );
-    assert_eq!(
-        subst.events, env.events,
-        "{}: event streams diverge\n{}",
-        p.describe, p.expr
-    );
-    assert_eq!(
-        subst.counts(),
-        env.counts(),
-        "{}: step counts diverge\n{}",
-        p.describe,
-        p.expr
-    );
-
-    // The bytecode tier is a fourth contender held to the same bar:
-    // outcome, event stream, and fuel accounting all match the oracle.
-    let bc = base_pipeline()
-        .with_tier(EvalStrategy::Bytecode)
-        .trace(&p.expr)
-        .unwrap_or_else(|e| panic!("{}: bytecode failed: {e}\n{}", p.describe, p.expr));
-    assert_eq!(
-        subst.outcome, bc.outcome,
-        "{}: bytecode outcome diverges\n{}",
-        p.describe, p.expr
-    );
-    assert_eq!(
-        subst.events, bc.events,
-        "{}: bytecode event stream diverges\n{}",
-        p.describe, p.expr
-    );
-    assert_eq!(
-        subst.counts(),
-        bc.counts(),
-        "{}: bytecode step counts diverge\n{}",
-        p.describe,
-        p.expr
-    );
-
-    // The batch engine consumes the canonical rendering as source and
-    // must agree with the in-memory pipeline...
-    let jobs = vec![Job::run("p", p.expr.to_string())];
-    let one = Batch::new(base_pipeline()).run(&jobs);
-    let (ty, outcome, counts) = match &one.outcomes[0].result {
+/// Runs one program as a single batch job on `tier` (the engine
+/// default when `None`), returning its type, outcome, and counts.
+fn batch_run(
+    p: &GenProgram,
+    tier: Option<EvalStrategy>,
+) -> (String, FtOutcome, funtal_tal::trace::CountTracer) {
+    let job = match tier {
+        Some(t) => Job::run_tiered("p", p.expr.to_string(), t),
+        None => Job::run("p", p.expr.to_string()),
+    };
+    let one = Batch::new(base_pipeline()).run(&[job]);
+    match &one.outcomes[0].result {
         Ok(JobSuccess::Ran {
             ty,
             outcome,
             counts,
             profile: _,
         }) => (ty.clone(), outcome.clone(), *counts),
-        other => panic!("{}: batch failed: {other:?}\n{}", p.describe, p.expr),
-    };
-    assert_eq!(ty, env.ty.to_string(), "{}: batch type", p.describe);
-    assert_eq!(outcome, env.outcome, "{}: batch outcome", p.describe);
-    assert_eq!(counts, env.counts(), "{}: batch fuel", p.describe);
-
-    // ...as must a bytecode-tier batch job, which additionally routes
-    // through the lowered-artifact cache.
-    let bc_jobs = vec![Job::run_tiered(
-        "p",
-        p.expr.to_string(),
-        EvalStrategy::Bytecode,
-    )];
-    let one_bc = Batch::new(base_pipeline()).run(&bc_jobs);
-    match &one_bc.outcomes[0].result {
-        Ok(JobSuccess::Ran {
-            ty: bty,
-            outcome: boutcome,
-            counts: bcounts,
-            profile: _,
-        }) => {
-            assert_eq!(bty, &ty, "{}: bytecode batch type", p.describe);
-            assert_eq!(boutcome, &outcome, "{}: bytecode batch outcome", p.describe);
-            assert_eq!(bcounts, &counts, "{}: bytecode batch fuel", p.describe);
-        }
         other => panic!(
-            "{}: bytecode batch failed: {other:?}\n{}",
+            "{}: batch ({tier:?}) failed: {other:?}\n{}",
             p.describe, p.expr
         ),
+    }
+}
+
+/// The three-way differential assertion for one generated program.
+fn assert_differential_clean(p: &GenProgram) {
+    let subst = base_pipeline()
+        .with_strategy(EvalStrategy::Substitution)
+        .trace(&p.expr)
+        .unwrap_or_else(|e| panic!("{}: substitution failed: {e}\n{}", p.describe, p.expr));
+    let fast = base_pipeline()
+        .trace(&p.expr)
+        .unwrap_or_else(|e| panic!("{}: default tier failed: {e}\n{}", p.describe, p.expr));
+
+    // Strategy equivalence at the driver level: outcome, event stream,
+    // and fuel accounting all match the oracle.
+    assert_eq!(
+        subst.outcome, fast.outcome,
+        "{}: outcomes diverge\n{}",
+        p.describe, p.expr
+    );
+    assert_eq!(
+        subst.events, fast.events,
+        "{}: event streams diverge\n{}",
+        p.describe, p.expr
+    );
+    assert_eq!(
+        subst.counts(),
+        fast.counts(),
+        "{}: step counts diverge\n{}",
+        p.describe,
+        p.expr
+    );
+
+    // The batch engine consumes the canonical rendering as source and
+    // must agree with the in-memory pipeline, both on the default tier
+    // (which routes through the lowered-artifact cache) and on the
+    // substitution tier (which does not).
+    for tier in [None, Some(EvalStrategy::Substitution)] {
+        let (ty, outcome, counts) = batch_run(p, tier);
+        assert_eq!(
+            ty,
+            subst.ty.to_string(),
+            "{}: {tier:?} batch type",
+            p.describe
+        );
+        assert_eq!(
+            outcome, subst.outcome,
+            "{}: {tier:?} batch outcome",
+            p.describe
+        );
+        assert_eq!(
+            counts,
+            subst.counts(),
+            "{}: {tier:?} batch fuel",
+            p.describe
+        );
     }
 
     // ...and its report must be byte-identical across worker counts

@@ -291,8 +291,9 @@ pub fn gen_context(ty: &FTy, rng: &mut SplitMix, depth: u32) -> GenCtx {
 
 /// A generated whole program: closed, well-typed, with deterministic
 /// observable behavior. The raw material of the driver's differential
-/// tests, which assert that the Substitution oracle, the Environment
-/// machine, and the batch engine agree on every one of these.
+/// tests, which assert that the Substitution oracle, the default
+/// (bytecode) runtime, and the batch engine agree on every one of
+/// these.
 #[derive(Clone, Debug)]
 pub struct GenProgram {
     /// Human-readable provenance for failure reports.

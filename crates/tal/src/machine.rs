@@ -146,8 +146,8 @@ impl Memory {
             .ok_or_else(|| RuntimeError::UnboundLabel(l.clone()))
     }
 
-    /// The fresh-label counter (used by the environment-strategy
-    /// machine to mirror this memory's label generation exactly).
+    /// The fresh-label counter (used by the fast runtime to mirror
+    /// this memory's label generation exactly).
     pub fn fresh_counter(&self) -> u64 {
         self.next_fresh
     }

@@ -2,14 +2,14 @@
 //!
 //! The [`Profiler`] is a [`Tracer`] that charges every fuel tick to the
 //! source span responsible for it, using the charging invariant shared
-//! by all three execution tiers:
+//! by both execution tiers:
 //!
 //! > every fuel tick is accompanied by **exactly one** charging event —
 //! > `Instr`, `FStep`, `FBeta`, `Jmp`, `Call`, `Ret`, `Halt`,
 //! > `BoundaryEnter`, `BoundaryExit`, or `ImportExit`.
 //!
 //! (`BnzTaken` rides along with the `Instr` of the same tick, and
-//! `ImportEnter` is never emitted; neither charges.)  Because the three
+//! `ImportEnter` is never emitted; neither charges.)  Because the two
 //! tiers are proven to emit byte-identical event streams, the profile
 //! they induce is byte-identical too — the certification test in the
 //! driver pins this.
