@@ -1,11 +1,12 @@
 //! The T checker's cost is linear in the program it checks: a large
 //! `salloc` frame checks quickly, and a block chain four times longer
 //! costs about four times as much, not the sixteen times a quadratic
-//! checker would.
+//! checker would. Lowering is linear too, past the size where the
+//! per-thread block memos fill.
 
 use std::time::{Duration, Instant};
 
-use funtal_syntax::build::int;
+use funtal_syntax::build::{boundary, fint, int};
 use funtal_syntax::TComp;
 use funtal_tal::check::check_program;
 
@@ -52,5 +53,42 @@ fn block_chain_check_time_is_linear() {
     assert!(
         ratio < 6.0,
         "512 blocks took {t_large:?}, {ratio:.2}x the {t_small:?} of 128 blocks"
+    );
+}
+
+/// One `prelower` of an `n`-block chain behind a boundary. Every call
+/// builds a fresh chain, so no memo entry keyed by an earlier run's
+/// blocks can serve it.
+fn prelower_time(n: usize) -> Duration {
+    let e = boundary(fint(), programs::block_chain(n));
+    let t = Instant::now();
+    let lowered = funtal::prelower(&e);
+    let took = t.elapsed();
+    drop(lowered);
+    took
+}
+
+#[test]
+fn prelower_time_is_linear_past_the_memo_capacity() {
+    // 8192 blocks is twice the 4096 entries at which the per-thread
+    // free-variable memo sweeps itself; a sweep per insert once the
+    // memo is full of live blocks made this size quadratic (~100x).
+    prelower_time(2048);
+    prelower_time(8192);
+    // Each ratio compares two back-to-back runs, which share the
+    // host's momentary speed; the median drops outlier pairs.
+    let mut ratios: Vec<f64> = (0..7)
+        .map(|_| {
+            let small = prelower_time(2048);
+            prelower_time(8192).as_secs_f64() / small.as_secs_f64()
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
+    // Linear cost gives 4x; larger maps and colder caches add up to
+    // ~1.3x more per block at the larger size.
+    assert!(
+        median < 6.0,
+        "8192 blocks took a median {median:.2}x the time of 2048 blocks: {ratios:.2?}"
     );
 }

@@ -1,4 +1,4 @@
-//! The bytecode verifier: static well-formedness for [`BcModule`]s.
+//! The bytecode verifier: static well-formedness for `BcModule`s.
 //!
 //! The lowerer ([`crate::machine_bc`]) is trusted by the dispatch loop
 //! to produce streams it can execute blindly — static jump offsets
@@ -10,10 +10,10 @@
 //! - **region structure**: block offsets are strictly increasing and
 //!   in range, every region (entry sequence or block body) ends in a
 //!   terminator, and no terminator appears mid-region;
-//! - **static targets**: every [`BcTarget::Static`] points at the
+//! - **static targets**: every `BcTarget::Static` points at the
 //!   recorded offset of a *code* ordinal and its discharged
 //!   instantiation-arity check matches the block table;
-//! - **cost table**: every opcode's [`BcOp::fuel_cost`] equals the
+//! - **cost table**: every opcode's `BcOp::fuel_cost` equals the
 //!   length of its independently enumerated expansion, so the fuel
 //!   the dispatch loop charges is exactly what the unfused sequence
 //!   would have charged (the profiler's certification hinges on this);
@@ -47,7 +47,7 @@ pub(crate) const REG_FILE: usize = 8;
 // in lock step.
 const _: () = assert!(REG_FILE == Reg::ALL.len());
 
-/// Why one [`BcModule`] failed verification. Offsets (`at`) index the
+/// Why one `BcModule` failed verification. Offsets (`at`) index the
 /// module's flat op stream; `ord` is a fragment ordinal.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BcVerifyError {
@@ -137,7 +137,7 @@ pub enum BcVerifyError {
     BadFusedCost {
         /// The op's offset.
         at: u32,
-        /// What [`BcOp::fuel_cost`] charges.
+        /// What `BcOp::fuel_cost` charges.
         charged: u64,
         /// The expansion's step count.
         expansion: u64,
@@ -354,10 +354,10 @@ fn escaping_ordinals(m: &BcModule) -> HashSet<u32> {
         return (0..m.blocks.len() as u32).collect();
     }
     let label_ord: HashMap<&Label, u32> = m
-        .spans
+        .labels
         .iter()
         .enumerate()
-        .map(|(i, (l, _))| (l, i as u32))
+        .map(|(i, l)| (l, i as u32))
         .collect();
     let mut out = HashSet::new();
     for op in &m.ops {
@@ -701,15 +701,7 @@ pub fn corrupt_for_tests(lp: &mut LoweredProgram) -> bool {
     let Some((_, module)) = lp.modules.first_mut() else {
         return false;
     };
-    let m: &BcModule = module;
-    let mut blocks = m.blocks.clone();
-    blocks.push((u32::MAX, 0));
-    *module = std::sync::Arc::new(BcModule {
-        ops: m.ops.clone(),
-        blocks,
-        entry_span: m.entry_span,
-        spans: m.spans.clone(),
-    });
+    std::sync::Arc::make_mut(module).blocks.push((u32::MAX, 0));
     true
 }
 
@@ -719,20 +711,11 @@ mod tests {
     use crate::figures;
     use crate::machine_bc::prelower;
 
-    fn clone_module(m: &BcModule) -> BcModule {
-        BcModule {
-            ops: m.ops.clone(),
-            blocks: m.blocks.clone(),
-            entry_span: m.entry_span,
-            spans: m.spans.clone(),
-        }
-    }
-
     fn modules_of(e: &funtal_syntax::FExpr) -> Vec<BcModule> {
         prelower(e)
             .modules
             .iter()
-            .map(|(_, m)| clone_module(m))
+            .map(|(_, m)| BcModule::clone(m))
             .collect()
     }
 
@@ -880,7 +863,7 @@ mod tests {
         for seed in 0..64u64 {
             let mut rng = Rng(seed);
             let base = &corpus[rng.below(corpus.len())];
-            let mut m = clone_module(base);
+            let mut m = base.clone();
             match rng.below(6) {
                 // Nudge a static jump offset off its block start.
                 0 => {

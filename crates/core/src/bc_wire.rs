@@ -1,7 +1,7 @@
 //! Binary codecs for the bytecode tier's lowered artifacts.
 //!
 //! A [`LoweredProgram`] is two things: an interned term and the
-//! per-component [`BcModule`]s keyed by *pointer identity* of the
+//! per-component `BcModule`s keyed by *pointer identity* of the
 //! term's `Arc<TComp>`s (the dispatch loop's module table is a
 //! pointer-keyed map). Pointer identity obviously doesn't serialize,
 //! so the encoding fixes a deterministic traversal instead:
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use funtal_store::{Reader, Wire, WireError, Writer};
 use funtal_syntax::intern::{IExpr, IKind};
-use funtal_syntax::{FExpr, Label, Span, TComp};
+use funtal_syntax::{FExpr, Label, TComp};
 
 use crate::machine_bc::{lower_comp, BcModule, BcOp, BcTarget, LoweredProgram};
 use crate::machine_fast::{FastOp, TWord};
@@ -453,15 +453,13 @@ impl Wire for BcModule {
     fn encode(&self, w: &mut Writer) {
         self.ops.encode(w);
         self.blocks.encode(w);
-        self.entry_span.encode(w);
-        self.spans.encode(w);
+        self.labels.encode(w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok(BcModule {
             ops: Wire::decode(r)?,
             blocks: Vec::<(u32, usize)>::decode(r)?,
-            entry_span: Span::decode(r)?,
-            spans: Vec::<(Label, Span)>::decode(r)?,
+            labels: Vec::<Label>::decode(r)?,
         })
     }
 }

@@ -4,7 +4,7 @@
 //! much fuel a pre-lowered program will consume. It walks the program
 //! with its own evaluator — structurally a copy of the mixed CEK
 //! machine, but charging cost from the shared table
-//! ([`BcOp::fuel_cost`]) instead of decrementing fuel, and refusing
+//! (`BcOp::fuel_cost`) instead of decrementing fuel, and refusing
 //! any T module whose static control-flow graph has a back edge
 //! (data-dependent loop trip counts are not statically bounded).
 //! Because FT is deterministic and programs are closed, the
@@ -18,7 +18,7 @@
 //! binop/if0/β/unfold/projection charge one step when they fire; an
 //! import's round-trip charges two on the F value's return (translate,
 //! then the rewritten `mv`); `halt` charges one (boundary exit or
-//! top-level); every T instruction charges [`BcOp::fuel_cost`] — so
+//! top-level); every T instruction charges `BcOp::fuel_cost` — so
 //! fused superinstructions charge exactly their expansions. F-side
 //! recursion is evaluated (unrolled) under a global abstract-step
 //! budget; exceeding it also yields `Unknown`.

@@ -7,7 +7,7 @@
 //!   `shadowed-binder` (a lambda parameter hides an enclosing one) and
 //!   `unused-heap-fragment` (a heap label no instruction or heap value
 //!   ever mentions);
-//! - **lowered IR** (per [`BcModule`], instantiating the worklist
+//! - **lowered IR** (per `BcModule`, instantiating the worklist
 //!   framework a second way — backward register liveness over basic
 //!   blocks, next to the verifier's forward initialization):
 //!   `dead-register-write` (a pure write no path reads),
@@ -22,7 +22,7 @@
 //! regardless of rule order or worker count.
 
 use funtal_analysis::{normalize, solve, Analysis, BitSet, Cfg, Diagnostic, Direction, Severity};
-use funtal_syntax::span::Span;
+use funtal_syntax::span::{Span, SpanTable};
 use funtal_syntax::{
     FExpr, HeapVal, Instr, InstrSeq, Label, SmallVal, TComp, Terminator, VarName, WordVal,
 };
@@ -33,15 +33,19 @@ use crate::machine_bc::{BcModule, BcOp, BcTarget, LoweredProgram};
 use crate::machine_fast::ridx;
 
 /// Lints `expr` (as parsed from `file`) and its lowering `lp`,
-/// returning findings in canonical order. Spans come from the
-/// modules' lower-time span tables: lower with
-/// [`crate::prelower_spanned`] to get source positions, or accept
-/// synthetic spans from [`crate::prelower`].
-pub fn lint_program(file: &str, expr: &FExpr, lp: &LoweredProgram) -> Vec<Diagnostic> {
+/// returning findings in canonical order. Block findings take their
+/// source positions from `spans` (the parser's label table; an empty
+/// table gives synthetic spans).
+pub fn lint_program(
+    file: &str,
+    expr: &FExpr,
+    lp: &LoweredProgram,
+    spans: &SpanTable,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     shadowed_binders(file, expr, &mut Vec::new(), &mut diags);
     for (comp, m) in &lp.modules {
-        lint_module(file, comp, m, &mut diags);
+        lint_module(file, spans, comp, m, &mut diags);
     }
     if let FuelBound::Exact(n) = infer_fuel(lp) {
         diags.push(Diagnostic::new(
@@ -136,7 +140,7 @@ fn shadowed_seq(file: &str, seq: &InstrSeq, scope: &mut Vec<VarName>, diags: &mu
 /// Flags heap labels of a component that no instruction operand, jump
 /// target, or other heap value ever mentions: the fragment is merged
 /// at every boundary crossing but nothing can reach it.
-fn unused_fragments(file: &str, comp: &TComp, m: &BcModule, diags: &mut Vec<Diagnostic>) {
+fn unused_fragments(file: &str, spans: &SpanTable, comp: &TComp, diags: &mut Vec<Diagnostic>) {
     let mut used: Vec<&Label> = Vec::new();
     seq_labels(&comp.seq, &mut used);
     for hv in comp.heap.0.values() {
@@ -153,7 +157,7 @@ fn unused_fragments(file: &str, comp: &TComp, m: &BcModule, diags: &mut Vec<Diag
         if !used.contains(&label) {
             diags.push(Diagnostic::new(
                 file,
-                span_of_label(m, label),
+                spans.resolve(label.as_str()),
                 "unused-heap-fragment",
                 Severity::Warning,
                 format!("heap fragment `{label}` is never referenced"),
@@ -214,30 +218,23 @@ fn word_labels<'a>(w: &'a WordVal, out: &mut Vec<&'a Label>) {
 
 /// The source span of fragment ordinal `ord` (the entry sequence for
 /// `None`).
-fn span_of_region(m: &BcModule, ord: Option<u32>) -> Span {
+fn span_of_region(spans: &SpanTable, m: &BcModule, ord: Option<u32>) -> Span {
     match ord {
-        None => m.entry_span,
-        Some(o) => m.spans[o as usize].1,
+        None => spans.root,
+        Some(o) => spans.resolve(m.labels[o as usize].as_str()),
     }
 }
 
 fn label_of_region(m: &BcModule, ord: Option<u32>) -> &str {
     match ord {
         None => "<entry>",
-        Some(o) => m.spans[o as usize].0.as_ref(),
+        Some(o) => m.labels[o as usize].as_ref(),
     }
-}
-
-fn span_of_label(m: &BcModule, label: &Label) -> Span {
-    m.spans
-        .iter()
-        .find(|(l, _)| l == label)
-        .map(|&(_, s)| s)
-        .unwrap_or(Span::SYNTH)
 }
 
 fn lint_module(
     file: &str,
+    spans: &SpanTable,
     comp: &std::sync::Arc<TComp>,
     m: &BcModule,
     diags: &mut Vec<Diagnostic>,
@@ -250,7 +247,7 @@ fn lint_module(
             // hand-built module could.
             diags.push(Diagnostic::new(
                 file,
-                m.entry_span,
+                spans.root,
                 "verifier",
                 Severity::Error,
                 format!("module rejected by the bytecode verifier: {e}"),
@@ -259,16 +256,17 @@ fn lint_module(
         }
     };
 
-    unused_fragments(file, comp, m, diags);
-    unreachable_blocks(file, m, &regions, diags);
-    dead_register_writes(file, m, &regions, diags);
-    constant_imports(file, m, &regions, diags);
+    unused_fragments(file, spans, comp, diags);
+    unreachable_blocks(file, spans, m, &regions, diags);
+    dead_register_writes(file, spans, m, &regions, diags);
+    constant_imports(file, spans, m, &regions, diags);
 }
 
 /// Regions with no path from the entry or any enterable block, over
 /// the verifier's region CFG.
 fn unreachable_blocks(
     file: &str,
+    spans: &SpanTable,
     m: &BcModule,
     regions: &ModuleRegions,
     diags: &mut Vec<Diagnostic>,
@@ -280,7 +278,7 @@ fn unreachable_blocks(
             let ord = regions.region_ord[r];
             diags.push(Diagnostic::new(
                 file,
-                span_of_region(m, ord),
+                span_of_region(spans, m, ord),
                 "unreachable-block",
                 Severity::Warning,
                 format!(
@@ -303,6 +301,7 @@ fn enterable_roots(regions: &ModuleRegions) -> Vec<usize> {
 /// marshals a statically constant value every time it executes.
 fn constant_imports(
     file: &str,
+    spans: &SpanTable,
     m: &BcModule,
     regions: &ModuleRegions,
     diags: &mut Vec<Diagnostic>,
@@ -321,7 +320,7 @@ fn constant_imports(
                     let ord = regions.region_ord[r];
                     diags.push(Diagnostic::new(
                         file,
-                        span_of_region(m, ord),
+                        span_of_region(spans, m, ord),
                         "constant-import",
                         Severity::Note,
                         format!(
@@ -489,6 +488,7 @@ fn pure_write(op: &BcOp) -> bool {
 
 fn dead_register_writes(
     file: &str,
+    spans: &SpanTable,
     m: &BcModule,
     regions: &ModuleRegions,
     diags: &mut Vec<Diagnostic>,
@@ -521,7 +521,7 @@ fn dead_register_writes(
                             let ord = regions.region_ord[*r];
                             diags.push(Diagnostic::new(
                                 file,
-                                span_of_region(m, ord),
+                                span_of_region(spans, m, ord),
                                 "dead-register-write",
                                 Severity::Warning,
                                 format!(
@@ -547,7 +547,7 @@ mod tests {
     use funtal_syntax::build::*;
 
     fn lint(e: &FExpr) -> Vec<Diagnostic> {
-        lint_program("test.ft", e, &prelower(e))
+        lint_program("test.ft", e, &prelower(e), &SpanTable::new())
     }
 
     fn rules(diags: &[Diagnostic], rule: &str) -> usize {

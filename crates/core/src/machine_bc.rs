@@ -2,18 +2,18 @@
 //!
 //! Each T component — entry sequence plus every block of its heap
 //! fragment — is lowered into **one flat instruction stream**
-//! ([`BcModule`]):
+//! (`BcModule`):
 //!
-//! - operands are constant-folded at lower time ([`lower_op`]), and
+//! - operands are constant-folded at lower time (`lower_op`), and
 //!   the common shapes get their own decoded opcodes (`ArithRR`,
 //!   `ArithRI`, `MvInt`, …) so the dispatch loop runs one `match` per
 //!   instruction over a dense register file;
 //! - jump/call targets whose peeled base is a fragment-local label are
 //!   resolved to **absolute instruction-stream offsets** at lower time
-//!   ([`BcTarget::Static`]) — taken branches are a program-counter
+//!   (`BcTarget::Static`) — taken branches are a program-counter
 //!   assignment, with the arity check discharged once during lowering;
 //! - cross-fragment entries go through a per-heap-cell inline cache
-//!   ([`BcCell`]): after the first entry, re-entering a block costs a
+//!   (`BcCell`): after the first entry, re-entering a block costs a
 //!   pointer compare and a bounds-checked offset load.
 //!
 //! Fuel, events, fresh labels, and error behavior mirror the Fig 8
@@ -22,14 +22,17 @@
 //! differential suite enforce this. The F side is the CEK machine of
 //! [`crate::machine_fast`], which hands T control to this VM at every
 //! boundary and `import` return.
+//!
+//! A module names its fragment ordinals by label; diagnostics map
+//! labels back to source through the parser's `SpanTable`, which
+//! [`crate::lint_program`] takes as a parameter.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::sync::{Arc, Weak};
 
-use funtal_syntax::intern::{IExpr, IKind};
-use funtal_syntax::span::{Span, SpanTable};
+use funtal_syntax::intern::{IExpr, IKind, WeakMemo};
 use funtal_syntax::subst::Subst;
 use funtal_syntax::{
     ArithOp, Component, FExpr, FTy, HeapFrag, HeapVal, Inst, Instr, InstrSeq, Label, Mutability,
@@ -41,8 +44,8 @@ use funtal_tal::trace::{Event, Tracer};
 
 use crate::machine::{FtOutcome, RunCfg};
 use crate::machine_fast::{
-    ambient_root, ambient_span, lower_op, peel_count, Ctrl, Env, FastHeapVal, FastMem, FastOp,
-    Frame, Machine, MergeOutcome, SpanScope, Step, TWord,
+    lower_op, peel_count, Ctrl, Env, FastHeapVal, FastMem, FastOp, Frame, Machine, MergeOutcome,
+    Step, TWord,
 };
 
 // ---------------------------------------------------------------------
@@ -281,18 +284,15 @@ pub(crate) const NOT_CODE: usize = usize::MAX;
 /// A lowered module: the component's entry sequence at offset 0
 /// followed by every fragment block, as one flat op stream. Shared and
 /// immutable (cached per component, reusable across runs and threads).
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct BcModule {
     pub(crate) ops: Vec<BcOp>,
     /// Per-fragment-ordinal `(offset, instantiation arity)`; tuples get
     /// [`NOT_CODE`].
     pub(crate) blocks: Vec<(u32, usize)>,
-    /// Source region of the entry sequence (the ambient root span at
-    /// lower time; synthetic for generated entries).
-    pub(crate) entry_span: Span,
-    /// Per-fragment-ordinal label and source region, resolved through
-    /// the ambient [`SpanScope`] at lower time.
-    pub(crate) spans: Vec<(Label, Span)>,
+    /// Per-fragment-ordinal label (what the verifier and lint name
+    /// blocks by).
+    pub(crate) labels: Vec<Label>,
 }
 
 /// A module bound to one merged fragment in one memory: the shared
@@ -570,16 +570,10 @@ fn lower_module(entry: &InstrSeq, frag: &[FragCell]) -> BcModule {
             }
         }
     }
-    let blocks = offsets.into_iter().zip(arities).collect();
-    let spans = frag
-        .iter()
-        .map(|(l, _)| (l.clone(), ambient_span(l.as_str())))
-        .collect();
     BcModule {
         ops,
-        blocks,
-        entry_span: ambient_root(),
-        spans,
+        blocks: offsets.into_iter().zip(arities).collect(),
+        labels: frag.iter().map(|(l, _)| l.clone()).collect(),
     }
 }
 
@@ -619,36 +613,21 @@ pub(crate) fn lower_renamed(mem: &FastMem, entry: &InstrSeq, indices: &[u32]) ->
 
 // Lazily lowered single-block modules for cells entered across
 // fragments (translation-allocated closures, `ℓend` blocks, blocks of
-// the initial memory). Keyed by block identity and validated by weak
-// upgrade, so a recycled allocation never aliases a stale entry. All
-// targets are dynamic: the same shared block can be bound under
-// different cell names, so no label may be resolved at lower time.
-type BlockModCache = HashMap<usize, (Weak<HeapVal>, Arc<BcModule>)>;
-
+// the initial memory), keyed by block identity. All targets are
+// dynamic: the same shared block can be bound under different cell
+// names, so no label may be resolved at lower time.
 thread_local! {
-    static BC_BLOCK_CACHE: RefCell<BlockModCache> = RefCell::new(HashMap::new());
+    static BC_BLOCK_CACHE: RefCell<WeakMemo<HeapVal, Arc<BcModule>>> = RefCell::default();
 }
 
 pub(crate) fn single_block_module(hv: &Arc<HeapVal>) -> Arc<BcModule> {
-    let key = Arc::as_ptr(hv) as usize;
     BC_BLOCK_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((weak, m)) = cache.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, hv) {
-                    return m.clone();
-                }
-            }
-        }
-        let HeapVal::Code(block) = &**hv else {
-            unreachable!("single_block_module called on a tuple")
-        };
-        let m = Arc::new(lower_module(&block.body, &[]));
-        if cache.len() >= 4096 {
-            cache.retain(|_, (w, _)| w.upgrade().is_some());
-        }
-        cache.insert(key, (Arc::downgrade(hv), m.clone()));
-        m
+        cache.borrow_mut().get_or_insert_with(hv, || {
+            let HeapVal::Code(block) = &**hv else {
+                unreachable!("single_block_module called on a tuple")
+            };
+            Arc::new(lower_module(&block.body, &[]))
+        })
     })
 }
 
@@ -1533,24 +1512,6 @@ impl LoweredProgram {
     pub fn module_count(&self) -> usize {
         self.modules.len()
     }
-
-    /// Every lowered code block's label and the source region it maps
-    /// back to, module by module in lowering order. Each module is
-    /// preceded by its entry sequence as `("<entry>", root span)`.
-    /// Spans are synthetic unless the program was lowered via
-    /// [`prelower_spanned`] (or under an explicit [`SpanScope`]).
-    pub fn block_spans(&self) -> Vec<(String, Span)> {
-        let mut out = Vec::new();
-        for (_, module) in &self.modules {
-            out.push(("<entry>".to_owned(), module.entry_span));
-            for ((label, span), &(_, arity)) in module.spans.iter().zip(&module.blocks) {
-                if arity != NOT_CODE {
-                    out.push((label.to_string(), *span));
-                }
-            }
-        }
-        out
-    }
 }
 
 fn collect_modules(
@@ -1622,14 +1583,6 @@ pub fn prelower(e: &FExpr) -> LoweredProgram {
         panic!("prelower produced a module the verifier rejects: {e}");
     }
     lp
-}
-
-/// [`prelower`] under a span scope: every lowered block records the
-/// source region its label resolves to in `table`, retrievable through
-/// [`LoweredProgram::block_spans`].
-pub fn prelower_spanned(e: &FExpr, table: Arc<SpanTable>) -> LoweredProgram {
-    let _scope = SpanScope::install(table);
-    prelower(e)
 }
 
 /// Runs a pre-lowered program in a fresh memory with the bytecode

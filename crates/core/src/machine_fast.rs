@@ -5,8 +5,8 @@
 //! and deep-clones subterms at every β-reduction; this machine instead
 //! keeps
 //!
-//! - an explicit **continuation stack** ([`Frame`]) and a **value
-//!   environment** ([`Env`]) for F — a CEK-style machine over the
+//! - an explicit **continuation stack** (`Frame`) and a **value
+//!   environment** (`Env`) for F — a CEK-style machine over the
 //!   [`IExpr`] interned terms of `funtal-syntax`;
 //! - for T, a register file held in a fixed array and a flat
 //!   `Vec`-indexed heap with a label-interning table ([`FastMem`]),
@@ -27,7 +27,6 @@ use std::sync::Arc;
 
 use funtal_syntax::intern::{IExpr, IKind};
 use funtal_syntax::rename::{rename_heap_val, rename_seq};
-use funtal_syntax::span::{Span, SpanTable};
 use funtal_syntax::subst::subst_fvars;
 use funtal_syntax::{
     ArithOp, FExpr, FTy, HeapVal, Inst, InstrSeq, Label, Lam, Mutability, Reg, SmallVal, StackTail,
@@ -94,61 +93,6 @@ pub struct FastMem {
     pub(crate) regs: [Option<TWord>; 8],
     pub(crate) stack: Vec<TWord>,
     pub(crate) next_fresh: u64,
-}
-
-// ---------------------------------------------------------------------
-// Ambient span scope
-// ---------------------------------------------------------------------
-
-// The span table of the program currently being lowered, if any. An
-// ambient (thread-local) scope rather than a parameter because lowering
-// happens lazily at block entry, deep inside the step loop — threading
-// a table through every signature would touch every tier for a purely
-// diagnostic concern.
-thread_local! {
-    static AMBIENT_SPANS: RefCell<Option<Arc<SpanTable>>> = const { RefCell::new(None) };
-}
-
-/// Installs a [`SpanTable`] as the ambient source map for all lowering
-/// on this thread; the previous scope is restored on drop.
-///
-/// While a scope is installed, every module lowered to bytecode records
-/// the source span of its labels. Caveat: single-block modules are
-/// cached across runs (keyed by shared-`Arc` identity), so their span
-/// is baked at *first* lowering — profile attribution does not read
-/// these spans (it resolves labels through the table directly) and is
-/// unaffected.
-pub struct SpanScope {
-    prev: Option<Arc<SpanTable>>,
-}
-
-impl SpanScope {
-    /// Installs `table`, returning the guard that scopes it.
-    pub fn install(table: Arc<SpanTable>) -> SpanScope {
-        let prev = AMBIENT_SPANS.with(|c| c.borrow_mut().replace(table));
-        SpanScope { prev }
-    }
-}
-
-impl Drop for SpanScope {
-    fn drop(&mut self) {
-        AMBIENT_SPANS.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-/// The span of `label` under the ambient scope (synthetic outside one).
-pub(crate) fn ambient_span(label: &str) -> Span {
-    AMBIENT_SPANS.with(|c| {
-        c.borrow()
-            .as_ref()
-            .map(|t| t.resolve(label))
-            .unwrap_or(Span::SYNTH)
-    })
-}
-
-/// The root span of the ambient scope (synthetic outside one).
-pub(crate) fn ambient_root() -> Span {
-    AMBIENT_SPANS.with(|c| c.borrow().as_ref().map(|t| t.root).unwrap_or(Span::SYNTH))
 }
 
 pub(crate) fn ridx(r: Reg) -> usize {

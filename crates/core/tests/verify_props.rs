@@ -52,8 +52,9 @@ proptest! {
             "{}: {:?}", p.describe, verify_lowered(&lp)
         );
         // Lint must neither panic nor flap on generated programs.
-        let a = lint_program("gen.ft", &p.expr, &lp);
-        let b = lint_program("gen.ft", &p.expr, &lp);
+        let spans = funtal_syntax::SpanTable::new();
+        let a = lint_program("gen.ft", &p.expr, &lp, &spans);
+        let b = lint_program("gen.ft", &p.expr, &lp, &spans);
         prop_assert_eq!(a, b, "lint output is not deterministic");
     }
 }

@@ -1,36 +1,39 @@
-//! Payload codecs for the persistent artifact store's four stages.
+//! The artifact kinds the cache memoizes and the persistent store
+//! keeps, and their payload codecs.
 //!
 //! The disk tier ([`funtal_store::DiskStore`]) moves opaque byte
-//! payloads; this module is where the driver's artifact types meet
-//! those bytes. Per stage:
+//! payloads; the [`Artifact`] trait is where the driver's artifact
+//! types meet those bytes. The cache's one stage path (`cache.rs`) is
+//! generic over it, and its in-memory maps key on the same bytes as
+//! the store. Per stage:
 //!
-//! | stage   | store key bytes              | payload                        |
-//! |---------|------------------------------|--------------------------------|
-//! | parse   | the source text              | term + span table              |
-//! | check   | the term's canonical rendering | the F type                   |
-//! | lower   | the term's canonical rendering | [`funtal::encode_lowered`]   |
-//! | compile | `[tco] ++ source text`       | program + heap + wrapped defs  |
+//! | stage   | key bytes                      | payload                        |
+//! |---------|--------------------------------|--------------------------------|
+//! | parse   | the source text                | term + span table              |
+//! | check   | the term's canonical rendering | the F type                     |
+//! | lower   | the term's canonical rendering | [`funtal::encode_lowered`] (ops, block table, labels) |
+//! | compile | `[tco] ++ source text`         | program + heap + wrapped defs  |
 //!
 //! Decode is **total** (it returns `WireError`, never panics) and
 //! conservative: a decoded parse artifact recomputes its `check_key`
 //! from the decoded term (so a stale rendering cannot be resurrected),
-//! a decoded MiniF program re-validates, and callers of
-//! [`decode_lowered`](funtal::decode_lowered) re-verify with
-//! [`funtal::verify_lowered`] before serving. Any failure on this path
-//! is a store *reject*: the entry is deleted and the stage recomputes.
+//! and a decoded MiniF program re-validates. Every load, from memory or
+//! disk, must also pass [`Artifact::verify`] (the bytecode verifier,
+//! for lowerings). Any failure on this path is a store *reject*: the
+//! entry is deleted and the stage recomputes.
 
 use std::sync::Arc;
 
-use funtal_store::{decode_from_slice, encode_to_vec, Reader, Wire, WireError, Writer};
+use funtal::LoweredProgram;
+use funtal_store::{decode_from_slice, encode_to_vec, Reader, Stage, Wire, WireError, Writer};
 use funtal_syntax::span::SpanTable;
 use funtal_syntax::FTy;
 
 use crate::cache::Parsed;
 use crate::report::CompiledMiniF;
 
-/// The store key for a MiniF compilation: the codegen option byte
-/// followed by the source text (the disk analogue of the in-memory
-/// `(src, tco)` tuple key).
+/// The cache and store key for a MiniF compilation: the codegen
+/// option byte followed by the source text.
 pub fn compile_key(src: &str, tail_call_opt: bool) -> Vec<u8> {
     let mut key = Vec::with_capacity(1 + src.len());
     key.push(tail_call_opt as u8);
@@ -38,63 +41,107 @@ pub fn compile_key(src: &str, tail_call_opt: bool) -> Vec<u8> {
     key
 }
 
-/// Encodes a parse artifact (term + span table). The canonical
-/// rendering is *not* stored: decode recomputes it, so the typecheck
-/// key always agrees with the term actually served.
-pub fn encode_parsed(p: &Parsed) -> Vec<u8> {
-    let mut w = Writer::new();
-    p.expr.encode(&mut w);
-    p.spans.encode(&mut w);
-    w.into_vec()
+/// A cached, persistable pipeline artifact: its stage, its payload
+/// codec, and the check every load must pass.
+pub trait Artifact: Sized {
+    /// The pipeline stage that produces it.
+    const STAGE: Stage;
+
+    /// Encodes the store payload.
+    fn encode(&self) -> Vec<u8>;
+
+    /// Decodes a payload; inverse of [`encode`](Artifact::encode).
+    fn decode(bytes: &[u8]) -> Result<Self, WireError>;
+
+    /// The check every load, from memory or disk, must pass. An error
+    /// is a reject.
+    fn verify(&self) -> Result<(), String> {
+        Ok(())
+    }
 }
 
-/// Decodes a parse artifact; inverse of [`encode_parsed`].
-pub fn decode_parsed(bytes: &[u8]) -> Result<Parsed, WireError> {
-    let mut r = Reader::new(bytes);
-    let expr = Wire::decode(&mut r)?;
-    let spans: SpanTable = Wire::decode(&mut r)?;
-    r.finish()?;
-    Ok(Parsed {
-        check_key: funtal_syntax::FExpr::to_string(&expr),
-        expr,
-        spans: Arc::new(spans),
-    })
+/// Term + span table. The canonical rendering is *not* stored: decode
+/// recomputes it, so the typecheck key always agrees with the term
+/// actually served.
+impl Artifact for Parsed {
+    const STAGE: Stage = Stage::Parse;
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.expr.encode(&mut w);
+        self.spans.encode(&mut w);
+        w.into_vec()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<Parsed, WireError> {
+        let mut r = Reader::new(bytes);
+        let expr = Wire::decode(&mut r)?;
+        let spans: SpanTable = Wire::decode(&mut r)?;
+        r.finish()?;
+        Ok(Parsed {
+            check_key: funtal_syntax::FExpr::to_string(&expr),
+            expr,
+            spans: Arc::new(spans),
+        })
+    }
 }
 
-/// Encodes a typecheck artifact (the program's F type).
-pub fn encode_checked(ty: &FTy) -> Vec<u8> {
-    encode_to_vec(ty)
+/// The program's F type.
+impl Artifact for FTy {
+    const STAGE: Stage = Stage::Check;
+
+    fn encode(&self) -> Vec<u8> {
+        encode_to_vec(self)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<FTy, WireError> {
+        decode_from_slice(bytes)
+    }
 }
 
-/// Decodes a typecheck artifact; inverse of [`encode_checked`].
-pub fn decode_checked(bytes: &[u8]) -> Result<FTy, WireError> {
-    decode_from_slice(bytes)
+/// The lowered bytecode, re-verified on every load.
+impl Artifact for LoweredProgram {
+    const STAGE: Stage = Stage::Lower;
+
+    fn encode(&self) -> Vec<u8> {
+        funtal::encode_lowered(self)
+    }
+
+    fn decode(bytes: &[u8]) -> Result<LoweredProgram, WireError> {
+        funtal::decode_lowered(bytes)
+    }
+
+    fn verify(&self) -> Result<(), String> {
+        funtal::verify_lowered(self).map_err(|e| e.to_string())
+    }
 }
 
-/// Encodes a MiniF compilation artifact: the validated source program,
-/// the generated T heap, and the boundary-wrapped definitions.
-pub fn encode_compiled(bundle: &CompiledMiniF) -> Vec<u8> {
-    let mut w = Writer::new();
-    bundle.program.encode(&mut w);
-    bundle.compiled.encode(&mut w);
-    bundle.wrapped.encode(&mut w);
-    w.into_vec()
-}
-
-/// Decodes a MiniF compilation artifact; inverse of
-/// [`encode_compiled`]. The embedded program re-validates during
+/// The validated source program, the generated T heap, and the
+/// boundary-wrapped definitions. The program re-validates during
 /// decode (see `funtal_compile::wire`).
-pub fn decode_compiled(bytes: &[u8]) -> Result<CompiledMiniF, WireError> {
-    let mut r = Reader::new(bytes);
-    let program = Wire::decode(&mut r)?;
-    let compiled = Wire::decode(&mut r)?;
-    let wrapped = Wire::decode(&mut r)?;
-    r.finish()?;
-    Ok(CompiledMiniF {
-        program,
-        compiled,
-        wrapped,
-    })
+impl Artifact for CompiledMiniF {
+    const STAGE: Stage = Stage::Compile;
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        self.program.encode(&mut w);
+        self.compiled.encode(&mut w);
+        self.wrapped.encode(&mut w);
+        w.into_vec()
+    }
+
+    fn decode(bytes: &[u8]) -> Result<CompiledMiniF, WireError> {
+        let mut r = Reader::new(bytes);
+        let program = Wire::decode(&mut r)?;
+        let compiled = Wire::decode(&mut r)?;
+        let wrapped = Wire::decode(&mut r)?;
+        r.finish()?;
+        Ok(CompiledMiniF {
+            program,
+            compiled,
+            wrapped,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -112,8 +159,8 @@ mod tests {
             expr,
             spans: Arc::new(spans),
         };
-        let bytes = encode_parsed(&parsed);
-        let back = decode_parsed(&bytes).expect("decode");
+        let bytes = parsed.encode();
+        let back = Parsed::decode(&bytes).expect("decode");
         assert_eq!(back.expr, parsed.expr);
         assert_eq!(back.check_key, parsed.check_key);
         assert_eq!(*back.spans, *parsed.spans);
@@ -124,8 +171,8 @@ mod tests {
         let p = Pipeline::new();
         let expr = p.parse("(lam[z](x: int). x + 1)(41)").expect("parse");
         let ty = p.check(&expr).expect("check");
-        let bytes = encode_checked(&ty);
-        assert_eq!(decode_checked(&bytes).expect("decode"), ty);
+        let bytes = Artifact::encode(&ty);
+        assert_eq!(<FTy as Artifact>::decode(&bytes).expect("decode"), ty);
     }
 
     #[test]
@@ -136,8 +183,8 @@ mod tests {
             let bundle = p
                 .compile_minif_source("fn fact(n) = if0 n { 1 } { fact(n - 1) * n }")
                 .expect("compile");
-            let bytes = encode_compiled(&bundle);
-            let back = decode_compiled(&bytes).expect("decode");
+            let bytes = bundle.encode();
+            let back = CompiledMiniF::decode(&bytes).expect("decode");
             assert_eq!(back.program, bundle.program);
             assert_eq!(back.compiled.entries, bundle.compiled.entries);
             assert_eq!(back.block_count(), bundle.block_count());
@@ -159,10 +206,10 @@ mod tests {
             expr,
             spans: Arc::new(spans),
         };
-        let bytes = encode_parsed(&parsed);
+        let bytes = parsed.encode();
         for cut in 0..bytes.len() {
             assert!(
-                decode_parsed(&bytes[..cut]).is_err(),
+                Parsed::decode(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }

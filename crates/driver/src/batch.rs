@@ -30,6 +30,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use funtal::machine::{EvalStrategy, ExecTier, FtOutcome};
+use funtal_store::{Stage, StoreStats};
 use funtal_tal::trace::CountTracer;
 
 use crate::cache::{ArtifactCache, CacheStats};
@@ -462,7 +463,7 @@ pub struct BatchReport {
     pub cache: CacheStats,
     /// Disk-tier counters at batch end, when the engine's cache is
     /// backed by a persistent store (`--store-dir`).
-    pub store: Option<funtal_store::StoreStats>,
+    pub store: Option<StoreStats>,
     /// Worker threads the batch ran on.
     pub workers: usize,
 }
@@ -509,62 +510,42 @@ impl BatchReport {
 /// releases.
 pub fn render_summary(
     cache: &CacheStats,
-    store: Option<&funtal_store::StoreStats>,
+    store: Option<&StoreStats>,
     jobs: usize,
     ok: usize,
     err: usize,
     workers: usize,
 ) -> Json {
-    let stage = |s: crate::cache::StageStats| {
-        obj([
-            ("hits", Json::Int(s.hits as i64)),
-            ("misses", Json::Int(s.misses as i64)),
-        ])
-    };
-    // The lower stage is the one stage with verify-on-load, so it is
-    // the one stage whose summary carries a reject counter.
-    let lower = obj([
-        ("hits", Json::Int(cache.lower.hits as i64)),
-        ("misses", Json::Int(cache.lower.misses as i64)),
-        ("rejects", Json::Int(cache.lower.rejects as i64)),
-    ]);
     let mut fields = vec![
         ("summary", Json::Bool(true)),
         ("jobs", Json::Int(jobs as i64)),
         ("ok", Json::Int(ok as i64)),
         ("err", Json::Int(err as i64)),
         ("workers", Json::Int(workers as i64)),
-        (
-            "cache",
-            obj([
-                ("parse", stage(cache.parse)),
-                ("check", stage(cache.check)),
-                ("lower", lower),
-                ("compile", stage(cache.compile)),
-            ]),
-        ),
+        // In memory only the lower stage verifies on load, so only its
+        // block carries a reject counter.
+        ("cache", tier_json(cache, |s| s == Stage::Lower)),
     ];
     if let Some(s) = store {
-        // Every disk stage verifies on load, so every disk stage
-        // carries a reject counter.
-        let disk = |d: funtal_store::StageDiskStats| {
-            obj([
-                ("hits", Json::Int(d.hits as i64)),
-                ("misses", Json::Int(d.misses as i64)),
-                ("rejects", Json::Int(d.rejects as i64)),
-            ])
-        };
-        fields.push((
-            "store",
-            obj([
-                ("parse", disk(s.parse)),
-                ("check", disk(s.check)),
-                ("lower", disk(s.lower)),
-                ("compile", disk(s.compile)),
-            ]),
-        ));
+        // Every disk stage verifies on load.
+        fields.push(("store", tier_json(s, |_| true)));
     }
     obj(fields)
+}
+
+/// One tier's per-stage counters, as the summary line renders them.
+fn tier_json(stats: &StoreStats, rejects: fn(Stage) -> bool) -> Json {
+    obj(Stage::ALL.map(|stage| {
+        let s = stats.stage(stage);
+        let mut counts = vec![
+            ("hits", Json::Int(s.hits as i64)),
+            ("misses", Json::Int(s.misses as i64)),
+        ];
+        if rejects(stage) {
+            counts.push(("rejects", Json::Int(s.rejects as i64)));
+        }
+        (stage.dir(), obj(counts))
+    }))
 }
 
 /// The batch execution engine: a [`Pipeline`] configuration, a worker

@@ -1,182 +1,52 @@
 //! Content-addressed caches for pipeline artifacts.
 //!
-//! Batch workloads re-submit the same programs over and over (the
-//! serving story of the ROADMAP), so the batch engine memoizes every
-//! pure pipeline stage:
+//! Batch workloads re-submit the same programs over and over, so the
+//! batch engine memoizes every pure pipeline stage: parse (keyed on the
+//! source text), FT typecheck and bytecode lowering (both keyed on the
+//! parsed term's canonical rendering, so differently formatted sources
+//! of one program share them), and MiniF compile (keyed on the codegen
+//! option byte + the source text). Evaluation is never cached — it is
+//! the work a job asks for.
 //!
-//! | stage          | key (full content, collision-proof)        | artifact             |
-//! |----------------|--------------------------------------------|----------------------|
-//! | parse          | the source text                            | `Arc<Parsed>` (term + its rendering) |
-//! | FT typecheck   | the parsed term's canonical rendering      | `Arc<FTy>`           |
-//! | bytecode lower | the parsed term's canonical rendering      | `Arc<LoweredProgram>` |
-//! | MiniF compile  | the source text + codegen options          | `Arc<CompiledMiniF>` |
-//!
-//! The in-process maps key on the **full content** (a cache must never
-//! serve another program's artifact, so a 64-bit digest alone is not a
-//! key — a long-lived `funtal serve` would turn a digest collision
-//! into a silently wrong answer). The FNV-1a digests of
-//! [`funtal_syntax::hash`] remain the stage's *content addresses* —
-//! [`source_key`]/[`term_key`]/[`compile_key`] expose them for
-//! reporting, distinct-key accounting in tests, and any future
-//! persistent or distributed tier, and `IExpr::stable_hash` memoizes
-//! the same term digest at the intern layer.
-//!
-//! Keying the typecheck stage on the *term* rather than the source
-//! means two differently-formatted sources of the same program share
-//! one typecheck. Evaluation is never cached — it is the work a job
-//! asks for — so a warm cache turns `run` into hash + eval, which is
-//! what the hit counters in the batch report prove.
-//!
-//! All maps are `Mutex<HashMap>` behind one [`ArtifactCache`] that
-//! workers share via `Arc`. Lookups hold a lock only for the map
-//! probe, never while computing a missing artifact, so a miss costs
-//! the stage itself plus two probes. Two workers racing on the same
-//! cold key may both compute it (both count as misses; last insert
-//! wins — the artifacts are pure, so the duplicates are identical),
-//! which keeps `hits + misses == lookups` as the cross-thread
-//! invariant the stress tests assert.
-//!
-//! # The persistent tier
-//!
-//! A cache opened [`with_store`](ArtifactCache::with_store) layers a
-//! disk-backed [`DiskStore`] *below* the in-process maps:
+//! Every stage goes through one path, keyed on full content (the same
+//! bytes the disk tier stores as its key, so the cache can never serve
+//! another program's artifact):
 //!
 //! ```text
-//! memory probe → disk probe (verify-on-load) → compute (write-through)
+//! memory probe (re-verified) → disk probe (decoded, verified) → compute (written through)
 //! ```
 //!
-//! A memory miss still counts as a memory miss — the in-process
-//! counters keep their exact storeless semantics — and the disk tier
-//! keeps its own per-stage hit/miss/reject counters
-//! ([`store_stats`](ArtifactCache::store_stats)). Every disk load is
-//! re-verified before it is served: the container layer already proved
-//! magic/version/checksum/full-key, and this layer re-decodes the
-//! payload (total, never panics) plus re-runs `verify_lowered` for
-//! lowered bytecode. Anything that fails is a *reject*: the entry is
-//! deleted, the counters record it, and the stage degrades to
-//! recompute — a corrupt store can cost time, never correctness.
-//! Computed artifacts are written through (errors are not stored), so
-//! a second process pointed at the same `--store-dir` warm-starts
-//! every stage.
-//!
-//! [`source_key`]: ArtifactCache::source_key
-//! [`term_key`]: ArtifactCache::term_key
-//! [`compile_key`]: ArtifactCache::compile_key
+//! - A lock is held only for a map probe or insert, never while
+//!   computing. Two workers racing on one cold key may both compute it
+//!   (both count as misses; the artifacts are pure, so last insert wins
+//!   harmlessly), which keeps `hits + misses == lookups`.
+//! - Every load passes [`Artifact::verify`]: the lower stage re-runs
+//!   the bytecode verifier on every memory hit. A failure is a *reject*,
+//!   counted as a miss, and the stage recomputes.
+//! - A cache opened [`with_store`](ArtifactCache::with_store) probes a
+//!   [`DiskStore`] on memory misses. The store keeps its own counters
+//!   ([`store_stats`](ArtifactCache::store_stats)) of the same
+//!   [`StoreStats`] shape. A disk payload must decode (totally) and
+//!   verify; otherwise the entry is deleted as a reject, so a corrupt
+//!   store costs time, never correctness.
+//! - Errors are returned, never cached or written through. A failed
+//!   write-through is swallowed: the store is only a cache.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
-use funtal_store::{DiskStore, Stage, StoreStats};
-use funtal_syntax::hash::{hash_fexpr, StableHasher};
+use funtal::LoweredProgram;
+use funtal_store::{DiskStore, StageCounters, StoreStats};
 use funtal_syntax::span::SpanTable;
 use funtal_syntax::{FExpr, FTy};
 
-use crate::artifact;
+use crate::artifact::{self, Artifact};
 use crate::report::CompiledMiniF;
 
-/// Hit/miss counters for one cached stage.
-#[derive(Debug, Default)]
-pub struct StageCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rejects: AtomicU64,
-}
-
-impl StageCounters {
-    fn hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn reject(&self) {
-        self.rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> StageStats {
-        StageStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            rejects: self.rejects.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of one stage's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StageStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to compute the artifact.
-    pub misses: u64,
-    /// Cached artifacts that failed verify-on-load and were discarded
-    /// (each reject also counts as a miss: the stage recomputed).
-    /// Only the `lower` stage verifies today, so it stays `0`
-    /// elsewhere.
-    pub rejects: u64,
-}
-
-impl StageStats {
-    /// Total lookups (`hits + misses` by construction).
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
-/// A point-in-time copy of every stage's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// The parse stage (`.ft` sources).
-    pub parse: StageStats,
-    /// The FT typecheck stage.
-    pub check: StageStats,
-    /// The bytecode lowering stage (`--tier bytecode` runs).
-    pub lower: StageStats,
-    /// The MiniF parse+compile stage (`.mf` sources).
-    pub compile: StageStats,
-}
-
-struct Shard<K, V> {
-    map: Mutex<HashMap<K, Arc<V>>>,
-    counters: StageCounters,
-}
-
-impl<K, V> Default for Shard<K, V> {
-    fn default() -> Self {
-        Shard {
-            map: Mutex::new(HashMap::new()),
-            counters: StageCounters::default(),
-        }
-    }
-}
-
-impl<K: std::hash::Hash + Eq, V> Shard<K, V> {
-    /// Returns the cached artifact or computes, stores, and returns it.
-    /// The lock is held only for the probes; `compute` runs unlocked.
-    /// The map compares **full keys** on probe, so a digest collision
-    /// can never alias two programs.
-    fn get_or_try_insert<E>(
-        &self,
-        key: K,
-        compute: impl FnOnce() -> Result<V, E>,
-    ) -> Result<Arc<V>, E> {
-        if let Some(found) = self.map.lock().expect("cache poisoned").get(&key) {
-            self.counters.hit();
-            return Ok(found.clone());
-        }
-        self.counters.miss();
-        let value = Arc::new(compute()?);
-        self.map
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, value.clone());
-        Ok(value)
-    }
-}
+/// The in-memory tier's counters, per stage: the same shape as the
+/// disk tier's.
+pub type CacheStats = StoreStats;
 
 /// A cached parse artifact: the term plus its canonical rendering.
 ///
@@ -194,15 +64,19 @@ pub struct Parsed {
     pub spans: Arc<SpanTable>,
 }
 
-/// The shared content-addressed cache for parse, typecheck, and MiniF
-/// compile artifacts. Cheap to clone via `Arc`; share one across every
-/// worker of a batch (and across batches in `funtal serve`).
+/// One stage's in-memory map, keyed on the store key bytes.
+type Shard<V> = Mutex<HashMap<Vec<u8>, Arc<V>>>;
+
+/// The shared content-addressed cache for parse, typecheck, lowering
+/// and MiniF compile artifacts. Share one across every worker of a
+/// batch via `Arc` (and across batches in `funtal serve`).
 #[derive(Default)]
 pub struct ArtifactCache {
-    parse: Shard<String, Parsed>,
-    check: Shard<String, FTy>,
-    lower: Shard<String, funtal::LoweredProgram>,
-    compile: Shard<(String, bool), CompiledMiniF>,
+    parse: Shard<Parsed>,
+    check: Shard<FTy>,
+    lower: Shard<LoweredProgram>,
+    compile: Shard<CompiledMiniF>,
+    counters: StageCounters,
     /// The persistent tier, probed on memory misses and written
     /// through on computes. `None` (the default) keeps the cache
     /// purely in-process.
@@ -242,24 +116,51 @@ impl ArtifactCache {
         self.store.as_ref().map(|s| s.stats())
     }
 
-    /// Probes the disk tier (if any) for `key`, decoding and verifying
-    /// with `decode`. A payload that fails decode/verify is a reject:
-    /// the entry is deleted and the probe reports a (disk) miss.
-    fn disk_probe<V>(
+    /// The one stage path: memory probe (re-verified) → disk probe →
+    /// compute (written through). A failed compute is returned as is:
+    /// nothing is cached or stored.
+    fn cached<V: Artifact, E>(
         &self,
-        stage: Stage,
+        map: &Shard<V>,
         key: &[u8],
-        decode: impl FnOnce(&[u8]) -> Option<V>,
-    ) -> Option<V> {
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        let found = map.lock().expect("cache poisoned").get(key).cloned();
+        if let Some(found) = found {
+            if found.verify().is_ok() {
+                self.counters.hit(V::STAGE);
+                return Ok(found);
+            }
+            self.counters.reject(V::STAGE);
+        }
+        self.counters.miss(V::STAGE);
+        let value = match self.disk_probe(key) {
+            Some(value) => Arc::new(value),
+            None => {
+                let value = Arc::new(compute()?);
+                self.disk_save(key, &*value);
+                value
+            }
+        };
+        map.lock()
+            .expect("cache poisoned")
+            .insert(key.to_vec(), value.clone());
+        Ok(value)
+    }
+
+    /// Probes the disk tier (if any) for `key`, decoding and verifying
+    /// the payload. One that fails either is a reject: the entry is
+    /// deleted and the probe reports a (disk) miss.
+    fn disk_probe<V: Artifact>(&self, key: &[u8]) -> Option<V> {
         let store = self.store.as_deref()?;
-        let payload = store.load(stage, key)?;
-        match decode(&payload) {
+        let payload = store.load(V::STAGE, key)?;
+        match V::decode(&payload).ok().filter(|v| v.verify().is_ok()) {
             Some(value) => {
-                store.hit(stage);
+                store.hit(V::STAGE);
                 Some(value)
             }
             None => {
-                store.reject(stage, key);
+                store.reject(V::STAGE, key);
                 None
             }
         }
@@ -268,33 +169,10 @@ impl ArtifactCache {
     /// Writes a computed artifact through to the disk tier (if any).
     /// Write failures are deliberately swallowed: the store is a
     /// cache, and a full or read-only disk must not fail the job.
-    fn disk_save(&self, stage: Stage, key: &[u8], encode: impl FnOnce() -> Vec<u8>) {
+    fn disk_save<V: Artifact>(&self, key: &[u8], value: &V) {
         if let Some(store) = &self.store {
-            let _ = store.save(stage, key, &encode());
+            let _ = store.save(V::STAGE, key, &value.encode());
         }
-    }
-
-    /// The 64-bit content address of a source text (reporting and
-    /// persistent tiers; the in-process map keys on the text itself).
-    pub fn source_key(src: &str) -> u64 {
-        funtal_syntax::hash::hash_str(src)
-    }
-
-    /// The 64-bit content address of a parsed term — the digest of its
-    /// canonical rendering, identical to what
-    /// `funtal_syntax::intern::IExpr::stable_hash` memoizes.
-    pub fn term_key(e: &FExpr) -> u64 {
-        hash_fexpr(e)
-    }
-
-    /// The 64-bit content address of a MiniF compilation:
-    /// source ⊕ codegen options.
-    pub fn compile_key(src: &str, tail_call_opt: bool) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_field("minif");
-        h.write_field(src);
-        h.write_u64(tail_call_opt as u64);
-        h.finish()
     }
 
     /// The parse artifact for a source, from cache or `compute`. The
@@ -306,37 +184,14 @@ impl ArtifactCache {
         src: &str,
         compute: impl FnOnce() -> Result<(FExpr, SpanTable), E>,
     ) -> Result<Arc<Parsed>, E> {
-        if let Some(found) = self.parse.map.lock().expect("cache poisoned").get(src) {
-            self.parse.counters.hit();
-            return Ok(found.clone());
-        }
-        self.parse.counters.miss();
-        if let Some(parsed) = self.disk_probe(Stage::Parse, src.as_bytes(), |bytes| {
-            artifact::decode_parsed(bytes).ok()
-        }) {
-            let value = Arc::new(parsed);
-            self.parse
-                .map
-                .lock()
-                .expect("cache poisoned")
-                .insert(src.to_string(), value.clone());
-            return Ok(value);
-        }
-        let (expr, spans) = compute()?;
-        let value = Arc::new(Parsed {
-            check_key: expr.to_string(),
-            expr,
-            spans: Arc::new(spans),
-        });
-        self.disk_save(Stage::Parse, src.as_bytes(), || {
-            artifact::encode_parsed(&value)
-        });
-        self.parse
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(src.to_string(), value.clone());
-        Ok(value)
+        self.cached(&self.parse, src.as_bytes(), || {
+            let (expr, spans) = compute()?;
+            Ok(Parsed {
+                check_key: expr.to_string(),
+                expr,
+                spans: Arc::new(spans),
+            })
+        })
     }
 
     /// The type of a term whose canonical rendering the caller already
@@ -347,115 +202,25 @@ impl ArtifactCache {
         check_key: &str,
         compute: impl FnOnce() -> Result<FTy, E>,
     ) -> Result<Arc<FTy>, E> {
-        if let Some(found) = self
-            .check
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .get(check_key)
-        {
-            self.check.counters.hit();
-            return Ok(found.clone());
-        }
-        self.check.counters.miss();
-        if let Some(ty) = self.disk_probe(Stage::Check, check_key.as_bytes(), |bytes| {
-            artifact::decode_checked(bytes).ok()
-        }) {
-            let value = Arc::new(ty);
-            self.check
-                .map
-                .lock()
-                .expect("cache poisoned")
-                .insert(check_key.to_string(), value.clone());
-            return Ok(value);
-        }
-        let value = Arc::new(compute()?);
-        self.disk_save(Stage::Check, check_key.as_bytes(), || {
-            artifact::encode_checked(&value)
-        });
-        self.check
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(check_key.to_string(), value.clone());
-        Ok(value)
-    }
-
-    /// The type of a term, from cache or `compute`. Keyed on the
-    /// term's canonical rendering, so differently formatted sources of
-    /// the same program share one typecheck. Renders the term to build
-    /// the key; engine code that holds a [`Parsed`] artifact should
-    /// use [`check_keyed`](ArtifactCache::check_keyed) instead.
-    pub fn check<E>(
-        &self,
-        term: &FExpr,
-        compute: impl FnOnce() -> Result<FTy, E>,
-    ) -> Result<Arc<FTy>, E> {
-        self.check_keyed(&term.to_string(), compute)
+        self.cached(&self.check, check_key.as_bytes(), compute)
     }
 
     /// The lowered bytecode artifact for a term whose canonical
     /// rendering the caller already holds (a [`Parsed`] artifact's
-    /// `check_key`). Keyed like the typecheck stage — on the term, not
-    /// the source — so differently formatted sources of one program
-    /// share a single lowering, and a warm `--tier bytecode` run skips
-    /// register allocation and fusion entirely.
-    ///
-    /// Every load out of the cache is re-checked by the bytecode
-    /// verifier (`funtal::verify_lowered`). An artifact that no longer
-    /// verifies is discarded and recomputed — the reject bumps the
-    /// stage's `rejects` counter *and* counts as a miss, so a bad
-    /// entry degrades to re-lowering instead of handing the dispatch
-    /// loop garbage, and `hits + misses == lookups` stays the
-    /// cross-thread invariant. Verification is linear in the module
-    /// and runs only here and at lower time, never inside the dispatch
-    /// loop (see PERFORMANCE.md).
+    /// `check_key`). Keyed like the typecheck stage, so differently
+    /// formatted sources of one program share a single lowering, and a
+    /// warm bytecode run skips register allocation and fusion
+    /// entirely. Every load is re-checked by the bytecode verifier
+    /// (see the module docs); verification is linear in the module and
+    /// never runs inside the dispatch loop (see PERFORMANCE.md).
     pub fn lower_keyed(
         &self,
         check_key: &str,
-        compute: impl FnOnce() -> funtal::LoweredProgram,
-    ) -> Arc<funtal::LoweredProgram> {
-        if let Some(found) = self
-            .lower
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .get(check_key)
-        {
-            if funtal::verify_lowered(found).is_ok() {
-                self.lower.counters.hit();
-                return found.clone();
-            }
-            self.lower.counters.reject();
-        }
-        self.lower.counters.miss();
-        // The disk probe verifies twice over: the payload must decode
-        // (total, structural) *and* the decoded program must pass the
-        // bytecode verifier — the same `verify_lowered` gate the
-        // in-memory tier applies on every hit.
-        if let Some(lowered) = self.disk_probe(Stage::Lower, check_key.as_bytes(), |bytes| {
-            funtal::decode_lowered(bytes)
-                .ok()
-                .filter(|lp| funtal::verify_lowered(lp).is_ok())
-        }) {
-            let value = Arc::new(lowered);
-            self.lower
-                .map
-                .lock()
-                .expect("cache poisoned")
-                .insert(check_key.to_string(), value.clone());
-            return value;
-        }
-        let value = Arc::new(compute());
-        self.disk_save(Stage::Lower, check_key.as_bytes(), || {
-            funtal::encode_lowered(&value)
-        });
-        self.lower
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(check_key.to_string(), value.clone());
-        value
+        compute: impl FnOnce() -> LoweredProgram,
+    ) -> Arc<LoweredProgram> {
+        let Ok(lowered) =
+            self.cached::<_, Infallible>(&self.lower, check_key.as_bytes(), || Ok(compute()));
+        lowered
     }
 
     /// The compiled MiniF bundle for a source, from cache or `compute`.
@@ -465,78 +230,28 @@ impl ArtifactCache {
         tail_call_opt: bool,
         compute: impl FnOnce() -> Result<CompiledMiniF, E>,
     ) -> Result<Arc<CompiledMiniF>, E> {
-        if self.store.is_none() {
-            return self
-                .compile
-                .get_or_try_insert((src.to_string(), tail_call_opt), compute);
-        }
-        let key = (src.to_string(), tail_call_opt);
-        if let Some(found) = self.compile.map.lock().expect("cache poisoned").get(&key) {
-            self.compile.counters.hit();
-            return Ok(found.clone());
-        }
-        self.compile.counters.miss();
-        let disk_key = artifact::compile_key(src, tail_call_opt);
-        if let Some(bundle) = self.disk_probe(Stage::Compile, &disk_key, |bytes| {
-            artifact::decode_compiled(bytes).ok()
-        }) {
-            let value = Arc::new(bundle);
-            self.compile
-                .map
-                .lock()
-                .expect("cache poisoned")
-                .insert(key, value.clone());
-            return Ok(value);
-        }
-        let value = Arc::new(compute()?);
-        self.disk_save(Stage::Compile, &disk_key, || {
-            artifact::encode_compiled(&value)
-        });
-        self.compile
-            .map
-            .lock()
-            .expect("cache poisoned")
-            .insert(key, value.clone());
-        Ok(value)
+        let key = artifact::compile_key(src, tail_call_opt);
+        self.cached(&self.compile, &key, compute)
     }
 
     /// A point-in-time copy of all counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            parse: self.parse.counters.snapshot(),
-            check: self.check.counters.snapshot(),
-            lower: self.lower.counters.snapshot(),
-            compile: self.compile.counters.snapshot(),
-        }
-    }
-
-    /// Number of distinct artifacts currently cached (all stages).
-    pub fn len(&self) -> usize {
-        self.parse.map.lock().expect("cache poisoned").len()
-            + self.check.map.lock().expect("cache poisoned").len()
-            + self.lower.map.lock().expect("cache poisoned").len()
-            + self.compile.map.lock().expect("cache poisoned").len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.counters.snapshot()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Pipeline;
+    use funtal_store::{Stage, StageStats};
 
     #[test]
     fn hit_miss_accounting() {
         let cache = ArtifactCache::new();
         let parse = |src: &str| {
             cache.parse(src, || {
-                Ok::<_, std::convert::Infallible>((
-                    funtal_syntax::build::fint_e(1),
-                    SpanTable::default(),
-                ))
+                Ok::<_, Infallible>((funtal_syntax::build::fint_e(1), SpanTable::default()))
             })
         };
         parse("1").unwrap();
@@ -561,37 +276,123 @@ mod tests {
         assert_eq!((s.hits, s.misses), (0, 2));
     }
 
-    #[test]
-    fn term_key_agrees_with_interned_stable_hash() {
-        // The content address of a term must match what the intern
-        // layer memoizes (`IExpr::stable_hash`), so a future interned
-        // pipeline can swap the memoized digest in without
-        // invalidating any recorded cache addresses.
-        let e = funtal_parser::parse_fexpr("(lam[z](x: int). x + 1)(41)").unwrap();
+    /// One lookup of `key` through a stage's public wrapper. With
+    /// `fail` the compute closure fails, so `Ok` proves a cache hit —
+    /// except on the lower stage, whose compute cannot fail and which
+    /// ignores `fail`.
+    type Lookup = fn(&ArtifactCache, &str, bool) -> Result<(), String>;
+
+    fn computed<T>(fail: bool, ok: impl FnOnce() -> T) -> Result<T, String> {
+        if fail {
+            Err("compute failed".to_string())
+        } else {
+            Ok(ok())
+        }
+    }
+
+    const FT_SRC: &str = "FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})";
+
+    fn stages() -> [(Stage, &'static str, Lookup); 4] {
+        [
+            (Stage::Parse, FT_SRC, |c, key, fail| {
+                c.parse(key, || {
+                    computed(fail, || Pipeline::new().parse_spanned(key).unwrap())
+                })
+                .map(drop)
+            }),
+            (Stage::Check, FT_SRC, |c, key, fail| {
+                c.check_keyed(key, || computed(fail, || FTy::Int)).map(drop)
+            }),
+            (Stage::Lower, FT_SRC, |c, key, _| {
+                c.lower_keyed(key, || {
+                    funtal::prelower(&Pipeline::new().parse(key).unwrap())
+                });
+                Ok(())
+            }),
+            (Stage::Compile, "fn f(n) = n + 1", |c, key, fail| {
+                c.compile(key, false, || {
+                    computed(fail, || Pipeline::new().compile_minif_source(key).unwrap())
+                })
+                .map(drop)
+            }),
+        ]
+    }
+
+    fn temp_store(stage: Stage) -> Arc<DiskStore> {
+        let dir = std::env::temp_dir().join(format!(
+            "funtal_cache_unit_{}_{}",
+            std::process::id(),
+            stage.dir()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        Arc::new(DiskStore::open(dir, 0).expect("open store"))
+    }
+
+    /// Asserts `stats` counts `hits`/`misses` on `stage` and nothing on
+    /// any other stage.
+    fn assert_only(stats: StoreStats, stage: Stage, hits: u64, misses: u64) {
+        let on = |s| StageStats {
+            hits: if s == stage { hits } else { 0 },
+            misses: if s == stage { misses } else { 0 },
+            rejects: 0,
+        };
         assert_eq!(
-            ArtifactCache::term_key(&e),
-            funtal_syntax::intern::IExpr::from_fexpr(&e).stable_hash()
+            Stage::ALL.map(|s| stats.stage(s)),
+            Stage::ALL.map(on),
+            "{stage:?}"
         );
     }
 
     #[test]
+    fn every_stage_caches_counts_and_writes_through() {
+        for (stage, key, lookup) in stages() {
+            let fallible = stage != Stage::Lower;
+            for store in [None, Some(temp_store(stage))] {
+                let cache = match &store {
+                    Some(s) => ArtifactCache::with_store(s.clone()),
+                    None => ArtifactCache::new(),
+                };
+                // A failed compute is returned, not cached, not stored.
+                let failed = u64::from(fallible);
+                if fallible {
+                    assert!(lookup(&cache, key, true).is_err());
+                    if let Some(s) = &store {
+                        assert!(s.entries(stage).unwrap().is_empty(), "{stage:?}");
+                    }
+                }
+                lookup(&cache, key, false).unwrap();
+                lookup(&cache, key, true).expect("a warm lookup is a memory hit");
+                assert_only(cache.stats(), stage, 1, failed + 1);
+                let Some(store) = store else { continue };
+                assert_eq!(store.entries(stage).unwrap().len(), 1, "{stage:?}");
+                assert_only(store.stats(), stage, 0, failed + 1);
+                // A new process over the same store: memory-cold,
+                // disk-warm.
+                let fresh = ArtifactCache::with_store(store.clone());
+                lookup(&fresh, key, true).expect("a cold-memory lookup is a disk hit");
+                assert_only(fresh.stats(), stage, 0, 1);
+                assert_only(store.stats(), stage, 1, failed + 1);
+                let _ = std::fs::remove_dir_all(store.root());
+            }
+        }
+    }
+
+    #[test]
     fn colliding_digests_cannot_alias_entries() {
-        // Full-key maps: even if two sources shared a 64-bit digest,
-        // the cache must keep them separate. (We cannot forge an FNV
-        // collision here; instead assert the map distinguishes keys
-        // regardless of digest by probing two distinct sources and
-        // checking both artifacts survive independently.)
+        // Full-key maps: two sources are two entries, whatever a
+        // digest of them would be. Both artifacts survive
+        // independently.
         let cache = ArtifactCache::new();
         let a = funtal_syntax::build::fint_e(1);
         let b = funtal_syntax::build::fint_e(2);
         cache
             .parse("src-a", || {
-                Ok::<_, std::convert::Infallible>((a.clone(), SpanTable::default()))
+                Ok::<_, Infallible>((a.clone(), SpanTable::default()))
             })
             .unwrap();
         cache
             .parse("src-b", || {
-                Ok::<_, std::convert::Infallible>((b.clone(), SpanTable::default()))
+                Ok::<_, Infallible>((b.clone(), SpanTable::default()))
             })
             .unwrap();
         // A compute closure that fails proves the lookup was a hit.
@@ -604,8 +405,7 @@ mod tests {
     #[test]
     fn corrupted_lower_artifacts_are_rejected_and_recomputed() {
         let cache = ArtifactCache::new();
-        let e = funtal_parser::parse_fexpr("FT[int](mv r1, 6; mul r1, r1, 7; halt int, * {r1})")
-            .unwrap();
+        let e = funtal_parser::parse_fexpr(FT_SRC).unwrap();
         let key = e.to_string();
         cache.lower_keyed(&key, || funtal::prelower(&e)); // cold: miss
         cache.lower_keyed(&key, || funtal::prelower(&e)); // warm: verified hit
@@ -617,10 +417,9 @@ mod tests {
         assert!(funtal::verify_lowered(&corrupted).is_err());
         cache
             .lower
-            .map
             .lock()
             .unwrap()
-            .insert(key.clone(), Arc::new(corrupted));
+            .insert(key.clone().into_bytes(), Arc::new(corrupted));
         // The next load rejects the poisoned entry and degrades to
         // re-lowering: the caller still gets a verified artifact.
         let reloaded = cache.lower_keyed(&key, || funtal::prelower(&e));
@@ -636,14 +435,18 @@ mod tests {
     }
 
     #[test]
-    fn term_key_ignores_formatting() {
-        // Differently formatted sources, same parsed term, same key.
-        let a = funtal_parser::parse_fexpr("1 + 2").unwrap();
-        let b = funtal_parser::parse_fexpr("  1   +   2 ").unwrap();
-        assert_eq!(ArtifactCache::term_key(&a), ArtifactCache::term_key(&b));
-        assert_ne!(
-            ArtifactCache::source_key("1 + 2"),
-            ArtifactCache::source_key("  1   +   2 ")
-        );
+    fn check_key_ignores_formatting() {
+        // Differently formatted sources parse to one term: two parse
+        // misses, one shared typecheck.
+        let cache = ArtifactCache::new();
+        let p = Pipeline::new();
+        for src in ["1 + 2", "  1   +   2 "] {
+            let parsed = cache.parse(src, || p.parse_spanned(src)).unwrap();
+            cache
+                .check_keyed(&parsed.check_key, || p.check(&parsed.expr))
+                .unwrap();
+        }
+        let s = cache.stats();
+        assert_eq!((s.parse.misses, s.check.misses, s.check.hits), (2, 1, 1));
     }
 }

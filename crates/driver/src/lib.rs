@@ -42,16 +42,15 @@ pub mod report;
 use std::sync::Arc;
 
 use funtal::machine::{run, run_fexpr, EvalStrategy, ExecTier, FtOutcome, RunCfg};
-use funtal::{LoweredProgram, SpanScope};
+use funtal::LoweredProgram;
 use funtal_compile::codegen::{compile_program, CodegenOpts, Compiled};
 use funtal_compile::lang::Program;
 use funtal_equiv::{equivalent, EquivCfg, Verdict};
-use funtal_parser::lex::Tok;
 use funtal_syntax::alpha::alpha_eq_fty;
 use funtal_syntax::build::{app, fint_e};
 use funtal_syntax::span::SpanTable;
 use funtal_syntax::{Component, FExpr, FTy};
-use funtal_tal::trace::{CountTracer, Tracer, VecTracer};
+use funtal_tal::trace::{CountTracer, VecTracer};
 use funtal_tal::{Profiler, RootLang};
 
 pub use batch::{Batch, BatchReport, Job, JobKind, JobOutcome, JobSuccess};
@@ -184,9 +183,13 @@ impl Pipeline {
         self.strategy
     }
 
-    /// The configured codegen options.
-    pub fn codegen_opts(&self) -> CodegenOpts {
-        self.codegen
+    fn report(&self, ty: FTy, outcome: FtOutcome, counts: CountTracer) -> RunReport {
+        RunReport {
+            ty,
+            outcome,
+            counts,
+            fuel: self.fuel,
+        }
     }
 
     fn run_cfg(&self) -> RunCfg {
@@ -197,17 +200,7 @@ impl Pipeline {
         }
     }
 
-    // --- stage 1: lex -----------------------------------------------------
-
-    /// Tokenizes FT concrete syntax (exposed for tooling; [`parse`]
-    /// lexes internally).
-    ///
-    /// [`parse`]: Pipeline::parse
-    pub fn lex(&self, src: &str) -> Result<Vec<Tok>, FunTalError> {
-        Ok(funtal_parser::lex(src)?)
-    }
-
-    // --- stage 2: parse ---------------------------------------------------
+    // --- stage 1: lex + parse ---------------------------------------------
 
     /// Parses an FT expression from concrete syntax.
     pub fn parse(&self, src: &str) -> Result<FExpr, FunTalError> {
@@ -221,7 +214,7 @@ impl Pipeline {
         Ok(funtal_parser::parse_fexpr_spanned(src)?)
     }
 
-    // --- stage 3: typecheck -----------------------------------------------
+    // --- stage 2: typecheck -----------------------------------------------
 
     /// Type-checks a closed FT expression (Fig 7) and returns its type.
     pub fn check(&self, e: &FExpr) -> Result<FTy, FunTalError> {
@@ -245,7 +238,7 @@ impl Pipeline {
         Ok(funtal::typecheck_component(comp, expected)?)
     }
 
-    // --- stage 4 (optional): MiniF compile --------------------------------
+    // --- stage 3 (optional): MiniF compile --------------------------------
 
     /// Compiles a validated MiniF program to T code with the pipeline's
     /// [`CodegenOpts`], returning the heap fragment plus
@@ -271,19 +264,11 @@ impl Pipeline {
         self.compile_minif(&minif::parse_minif(src)?)
     }
 
-    // --- stage 5: evaluate ------------------------------------------------
+    // --- stage 4: evaluate ------------------------------------------------
 
     /// Type-checks and evaluates an FT expression with step counting.
     pub fn run(&self, e: &FExpr) -> Result<RunReport, FunTalError> {
-        let ty = self.check(e)?;
-        let mut counts = CountTracer::new();
-        let outcome = run_fexpr(e, self.run_cfg(), &mut counts)?;
-        Ok(RunReport {
-            ty,
-            outcome,
-            counts,
-            fuel: self.fuel,
-        })
+        self.run_prechecked(e, self.check(e)?)
     }
 
     /// Parse + typecheck + evaluate in one step.
@@ -302,12 +287,7 @@ impl Pipeline {
     pub fn run_prechecked(&self, e: &FExpr, ty: FTy) -> Result<RunReport, FunTalError> {
         let mut counts = CountTracer::new();
         let outcome = run_fexpr(e, self.run_cfg(), &mut counts)?;
-        Ok(RunReport {
-            ty,
-            outcome,
-            counts,
-            fuel: self.fuel,
-        })
+        Ok(self.report(ty, outcome, counts))
     }
 
     /// Evaluates a pre-lowered bytecode program whose type is already
@@ -324,12 +304,7 @@ impl Pipeline {
     ) -> Result<RunReport, FunTalError> {
         let mut counts = CountTracer::new();
         let outcome = funtal::run_prelowered(lowered, self.run_cfg(), &mut counts)?;
-        Ok(RunReport {
-            ty,
-            outcome,
-            counts,
-            fuel: self.fuel,
-        })
+        Ok(self.report(ty, outcome, counts))
     }
 
     /// Profiles an expression whose type is already known: evaluates
@@ -339,28 +314,17 @@ impl Pipeline {
     /// The profile is a pure function of the program — both execution
     /// tiers emit byte-identical renderings (certified by the
     /// differential tests), so a profile taken on the fast tier speaks
-    /// for the paper-literal oracle too. The span scope is installed
-    /// for the duration so blocks lowered during the run also bake
-    /// their spans for the introspection APIs.
+    /// for the paper-literal oracle too.
     pub fn profile_prechecked(
         &self,
         e: &FExpr,
         ty: FTy,
         spans: Arc<SpanTable>,
     ) -> Result<ProfileReport, FunTalError> {
-        let mut profiler = Profiler::new(spans.clone(), RootLang::F);
-        let outcome = {
-            let _scope = SpanScope::install(spans);
-            run_fexpr(e, self.run_cfg(), &mut profiler)?
-        };
-        let counts = profiler.counts;
+        let mut profiler = Profiler::new(spans, RootLang::F);
+        let outcome = run_fexpr(e, self.run_cfg(), &mut profiler)?;
         Ok(ProfileReport {
-            run: RunReport {
-                ty,
-                outcome,
-                counts,
-                fuel: self.fuel,
-            },
+            run: self.report(ty, outcome, profiler.counts),
             profiler,
         })
     }
@@ -376,19 +340,10 @@ impl Pipeline {
         ty: FTy,
         spans: Arc<SpanTable>,
     ) -> Result<ProfileReport, FunTalError> {
-        let mut profiler = Profiler::new(spans.clone(), RootLang::F);
-        let outcome = {
-            let _scope = SpanScope::install(spans);
-            funtal::run_prelowered(lowered, self.run_cfg(), &mut profiler)?
-        };
-        let counts = profiler.counts;
+        let mut profiler = Profiler::new(spans, RootLang::F);
+        let outcome = funtal::run_prelowered(lowered, self.run_cfg(), &mut profiler)?;
         Ok(ProfileReport {
-            run: RunReport {
-                ty,
-                outcome,
-                counts,
-                fuel: self.fuel,
-            },
+            run: self.report(ty, outcome, profiler.counts),
             profiler,
         })
     }
@@ -423,12 +378,12 @@ impl Pipeline {
         self.profile_prechecked(&call, ty, Arc::new(table))
     }
 
-    // --- stage 5½: static analysis ----------------------------------------
+    // --- stage 4½: static analysis ----------------------------------------
 
     /// Lints an FT source — what `funtal lint` runs on `.ft` files:
-    /// parse (with spans), typecheck, lower to bytecode under the span
-    /// table, then run every analysis rule over both the source term
-    /// and the lowered IR. Diagnostics come back in the deterministic
+    /// parse (with spans), typecheck, lower to bytecode, then run every
+    /// analysis rule over both the source term and the lowered IR,
+    /// attributing findings through the span table. Diagnostics come back in the deterministic
     /// normal form (sorted by file/span/rule, deduplicated).
     pub fn lint_source(
         &self,
@@ -437,8 +392,12 @@ impl Pipeline {
     ) -> Result<Vec<funtal::Diagnostic>, FunTalError> {
         let (e, spans) = self.parse_spanned(src)?;
         self.check(&e)?;
-        let lowered = funtal::prelower_spanned(&e, Arc::new(spans));
-        Ok(funtal::lint_program(file, &e, &lowered))
+        Ok(funtal::lint_program(
+            file,
+            &e,
+            &funtal::prelower(&e),
+            &spans,
+        ))
     }
 
     /// Lints a MiniF source — what `funtal lint` runs on `.mf` files:
@@ -454,7 +413,7 @@ impl Pipeline {
     ) -> Result<Vec<funtal::Diagnostic>, FunTalError> {
         let (program, def_spans) = minif::parse_minif_spanned(src)?;
         let bundle = self.compile_minif(&program)?;
-        let table = Arc::new(minif_span_table(&bundle, &def_spans));
+        let table = minif_span_table(&bundle, &def_spans);
         let mut diags = Vec::new();
         // Every wrapped definition embeds the *whole* compiled heap,
         // so from any one entry point the other definitions' blocks
@@ -464,8 +423,7 @@ impl Pipeline {
         let mut entry_dependent: std::collections::HashMap<funtal::Diagnostic, usize> =
             std::collections::HashMap::new();
         for (_, f, _) in &bundle.wrapped {
-            let lowered = funtal::prelower_spanned(f, table.clone());
-            for d in funtal::lint_program(file, f, &lowered) {
+            for d in funtal::lint_program(file, f, &funtal::prelower(f), &table) {
                 if d.rule == "unreachable-block" {
                     *entry_dependent.entry(d).or_insert(0) += 1;
                 } else {
@@ -483,19 +441,7 @@ impl Pipeline {
         Ok(diags)
     }
 
-    /// Like [`run`](Pipeline::run), with a caller-supplied tracer
-    /// observing every machine event.
-    pub fn run_with_tracer(
-        &self,
-        e: &FExpr,
-        tracer: &mut dyn Tracer,
-    ) -> Result<(FTy, FtOutcome), FunTalError> {
-        let ty = self.check(e)?;
-        let outcome = run_fexpr(e, self.run_cfg(), tracer)?;
-        Ok((ty, outcome))
-    }
-
-    // --- stage 6: trace / equiv reporting ---------------------------------
+    // --- stage 5: trace / equiv reporting ---------------------------------
 
     /// Type-checks and evaluates an FT expression, recording the full
     /// control-flow event stream (the Fig 4 / Fig 12 shape).

@@ -16,6 +16,7 @@ use std::process::ExitCode;
 
 use funtal::machine::ExecTier;
 use funtal_compile::codegen::CodegenOpts;
+use funtal_driver::artifact::Artifact;
 use funtal_driver::{Batch, FunTalError, Job, JobKind, Pipeline};
 use funtal_equiv::EquivCfg;
 
@@ -668,10 +669,19 @@ fn cmd_serve(o: &Opts) -> Result<(), FunTalError> {
     Ok(())
 }
 
+/// The gate a store load applies to a payload: it decodes, and the
+/// artifact verifies.
+fn verify_payload<A: Artifact>(payload: &[u8]) -> Result<(), String> {
+    A::decode(payload).map_err(|e| e.to_string())?.verify()
+}
+
 /// `funtal store stats|gc|verify --store-dir DIR`: offline maintenance
 /// of the persistent artifact store.
 fn cmd_store(o: &Opts) -> Result<(), FunTalError> {
+    use funtal::LoweredProgram;
+    use funtal_driver::{cache::Parsed, CompiledMiniF};
     use funtal_store::{parse_container, Stage};
+    use funtal_syntax::FTy;
     let action = match o.files.as_slice() {
         [a] => a.as_str(),
         _ => {
@@ -735,18 +745,10 @@ fn cmd_store(o: &Opts) -> Result<(), FunTalError> {
                 let verdict = match parse_container(&bytes, Some(entry.stage), None) {
                     Err(e) => Err(e.to_string()),
                     Ok((_, _, payload)) => match entry.stage {
-                        Stage::Parse => funtal_driver::artifact::decode_parsed(&payload)
-                            .map(|_| ())
-                            .map_err(|e| e.to_string()),
-                        Stage::Check => funtal_driver::artifact::decode_checked(&payload)
-                            .map(|_| ())
-                            .map_err(|e| e.to_string()),
-                        Stage::Lower => funtal::decode_lowered(&payload)
-                            .map_err(|e| e.to_string())
-                            .and_then(|lp| funtal::verify_lowered(&lp).map_err(|e| e.to_string())),
-                        Stage::Compile => funtal_driver::artifact::decode_compiled(&payload)
-                            .map(|_| ())
-                            .map_err(|e| e.to_string()),
+                        Stage::Parse => verify_payload::<Parsed>(&payload),
+                        Stage::Check => verify_payload::<FTy>(&payload),
+                        Stage::Lower => verify_payload::<LoweredProgram>(&payload),
+                        Stage::Compile => verify_payload::<CompiledMiniF>(&payload),
                     },
                 };
                 match verdict {

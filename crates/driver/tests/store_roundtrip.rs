@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use funtal_driver::artifact;
+use funtal_driver::artifact::Artifact;
 use funtal_driver::cache::Parsed;
 use funtal_equiv::gen::{gen_program, SplitMix};
 use funtal_syntax::span::SpanTable;
@@ -27,24 +27,23 @@ proptest! {
             expr: gp.expr.clone(),
             spans: Arc::new(SpanTable::default()),
         };
-        let bytes = artifact::encode_parsed(&parsed);
-        let back = artifact::decode_parsed(&bytes).expect("parse artifact decodes");
+        let bytes = parsed.encode();
+        let back = Parsed::decode(&bytes).expect("parse artifact decodes");
         prop_assert_eq!(&back.expr, &gp.expr, "{}", gp.describe);
         prop_assert_eq!(&back.check_key, &parsed.check_key);
 
         // Typecheck artifact: the generated program's type.
-        let ty_bytes = artifact::encode_checked(&gp.ty);
-        let ty_back = artifact::decode_checked(&ty_bytes).expect("type decodes");
+        let ty_bytes = gp.ty.encode();
+        let ty_back = funtal_syntax::FTy::decode(&ty_bytes).expect("type decodes");
         prop_assert_eq!(&ty_back, &gp.ty, "{}", gp.describe);
 
         // Lowering artifact: module count preserved, verifier still
         // green on the decoded program.
         let lowered = funtal::prelower(&gp.expr);
-        let l_bytes = funtal::encode_lowered(&lowered);
-        let l_back = funtal::decode_lowered(&l_bytes).expect("lowering decodes");
+        let l_back = funtal::LoweredProgram::decode(&lowered.encode()).expect("lowering decodes");
         prop_assert_eq!(l_back.module_count(), lowered.module_count());
         prop_assert!(
-            funtal::verify_lowered(&l_back).is_ok(),
+            l_back.verify().is_ok(),
             "decoded lowering fails verification: {}",
             gp.describe
         );

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::SystemTime;
 
-use funtal_syntax::hash::{hash_bytes, hash_bytes_from};
+use crate::hash::{hash_bytes, hash_bytes_from};
 
 /// Magic bytes opening every container file.
 pub const MAGIC: [u8; 4] = *b"FTST";
@@ -41,7 +41,7 @@ pub const MAGIC: [u8; 4] = *b"FTST";
 /// The on-disk format version. Any change to the container layout or
 /// to a payload codec's byte layout must bump this; old entries then
 /// reject on load and degrade to recompute.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// The four artifact kinds the pipeline caches.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -128,47 +128,80 @@ impl std::fmt::Display for ContainerError {
 
 impl std::error::Error for ContainerError {}
 
+/// Hit/miss/reject counters for every stage of one cache tier, indexed
+/// by [`Stage`]. The disk tier and the driver's in-memory tier share
+/// this type, so both report the same [`StoreStats`] shape.
 #[derive(Default, Debug)]
-struct StageCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    rejects: AtomicU64,
+pub struct StageCounters([[AtomicU64; 3]; 4]);
+
+impl StageCounters {
+    /// Counts a lookup answered by this tier.
+    pub fn hit(&self, stage: Stage) {
+        self.0[stage.index()][0].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts a lookup this tier could not answer.
+    pub fn miss(&self, stage: Stage) {
+        self.0[stage.index()][1].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts an artifact discarded by verification (the caller counts
+    /// the miss that follows).
+    pub fn reject(&self, stage: Stage) {
+        self.0[stage.index()][2].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A point-in-time copy of every stage's counters.
+    pub fn snapshot(&self) -> StoreStats {
+        // Indexed by `Stage::index`, i.e. in `Stage::ALL` order.
+        let [parse, check, lower, compile] = self.0.each_ref().map(|[h, m, r]| StageStats {
+            hits: h.load(Ordering::Relaxed),
+            misses: m.load(Ordering::Relaxed),
+            rejects: r.load(Ordering::Relaxed),
+        });
+        StoreStats {
+            parse,
+            check,
+            lower,
+            compile,
+        }
+    }
 }
 
-/// A point-in-time snapshot of one stage's disk-tier counters.
+/// A point-in-time copy of one stage's counters.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct StageDiskStats {
-    /// Loads whose artifact was served from disk (after verification).
+pub struct StageStats {
+    /// Lookups answered by the tier (after verification).
     pub hits: u64,
-    /// Loads that fell through to recompute (absent or rejected).
+    /// Lookups that fell through (absent or rejected).
     pub misses: u64,
-    /// Entries rejected by verification (also counted as misses).
+    /// Artifacts rejected by verification (also counted as misses).
     pub rejects: u64,
 }
 
-impl StageDiskStats {
+impl StageStats {
     /// Total lookups observed (`hits + misses`).
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
 }
 
-/// Disk-tier counters for all four stages.
+/// One tier's counters for all four stages.
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct StoreStats {
     /// Parse-stage counters.
-    pub parse: StageDiskStats,
+    pub parse: StageStats,
     /// Typecheck-stage counters.
-    pub check: StageDiskStats,
+    pub check: StageStats,
     /// Lowering-stage counters.
-    pub lower: StageDiskStats,
+    pub lower: StageStats,
     /// Compile-stage counters.
-    pub compile: StageDiskStats,
+    pub compile: StageStats,
 }
 
 impl StoreStats {
     /// The counters for `stage`.
-    pub fn stage(&self, stage: Stage) -> StageDiskStats {
+    pub fn stage(&self, stage: Stage) -> StageStats {
         match stage {
             Stage::Parse => self.parse,
             Stage::Check => self.check,
@@ -221,7 +254,7 @@ pub struct GcReport {
 pub struct DiskStore {
     root: PathBuf,
     cap_bytes: u64,
-    counters: [StageCounters; 4],
+    counters: StageCounters,
     evicted: AtomicU64,
     tmp_seq: AtomicU64,
 }
@@ -282,9 +315,7 @@ impl DiskStore {
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(_) => {
-                self.counters[stage.index()]
-                    .misses
-                    .fetch_add(1, Ordering::Relaxed);
+                self.counters.miss(stage);
                 return None;
             }
         };
@@ -298,10 +329,7 @@ impl DiskStore {
                 Some(payload)
             }
             Err(_) => {
-                let c = &self.counters[stage.index()];
-                c.rejects.fetch_add(1, Ordering::Relaxed);
-                c.misses.fetch_add(1, Ordering::Relaxed);
-                let _ = fs::remove_file(&path);
+                self.reject(stage, key);
                 None
             }
         }
@@ -309,18 +337,15 @@ impl DiskStore {
 
     /// Counts a disk hit for `stage` (call after decode + verify).
     pub fn hit(&self, stage: Stage) {
-        self.counters[stage.index()]
-            .hits
-            .fetch_add(1, Ordering::Relaxed);
+        self.counters.hit(stage);
     }
 
-    /// Counts a post-container rejection for `stage` — the payload
-    /// parsed as a container but failed decode or semantic
+    /// Counts a rejection for `stage` — the container failed to parse,
+    /// or its payload failed the caller's decode or semantic
     /// verification — removing the entry and counting reject+miss.
     pub fn reject(&self, stage: Stage, key: &[u8]) {
-        let c = &self.counters[stage.index()];
-        c.rejects.fetch_add(1, Ordering::Relaxed);
-        c.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.reject(stage);
+        self.counters.miss(stage);
         let _ = fs::remove_file(self.entry_path(stage, key));
     }
 
@@ -421,20 +446,7 @@ impl DiskStore {
 
     /// Snapshot of the disk-tier counters.
     pub fn stats(&self) -> StoreStats {
-        let snap = |s: Stage| {
-            let c = &self.counters[s.index()];
-            StageDiskStats {
-                hits: c.hits.load(Ordering::Relaxed),
-                misses: c.misses.load(Ordering::Relaxed),
-                rejects: c.rejects.load(Ordering::Relaxed),
-            }
-        };
-        StoreStats {
-            parse: snap(Stage::Parse),
-            check: snap(Stage::Check),
-            lower: snap(Stage::Lower),
-            compile: snap(Stage::Compile),
-        }
+        self.counters.snapshot()
     }
 }
 
@@ -509,6 +521,26 @@ mod tests {
         let st = s.stats().parse;
         assert_eq!((st.hits, st.misses, st.rejects), (1, 1, 0));
         assert_eq!(st.lookups(), 2);
+    }
+
+    #[test]
+    fn stage_counters_index_by_stage() {
+        let c = StageCounters::default();
+        c.hit(Stage::Lower);
+        c.miss(Stage::Lower);
+        c.reject(Stage::Lower);
+        c.miss(Stage::Compile);
+        let s = c.snapshot();
+        let lower = StageStats {
+            hits: 1,
+            misses: 1,
+            rejects: 1,
+        };
+        assert_eq!(s.lower, lower);
+        assert_eq!(s.stage(Stage::Lower), lower);
+        assert_eq!(s.compile.lookups(), 1);
+        assert_eq!((s.parse, s.check), Default::default());
+        assert_eq!((s.total_hits(), s.total_rejects()), (1, 1));
     }
 
     #[test]

@@ -80,34 +80,65 @@ fn minus<T: Ord + Clone>(s: FvSet<T>, remove: impl Fn(&T) -> bool) -> FvSet<T> {
     }
 }
 
-// Free-variable sets of shared heap values, keyed by `Arc` identity and
-// validated by upgrading the stored weak handle, so converting the same
+/// A bounded memo keyed by `Arc` identity, for per-thread caches of
+/// work derived from shared syntax.
+///
+/// Each entry holds a weak handle to its key. The handle pins the
+/// allocation, so an address cannot be reused while its entry lives,
+/// and a dead handle marks the entry stale. A full memo first sweeps
+/// its stale entries; when that frees less than half of it, it drops
+/// everything (it is only a cache). Either way the next sweep is at
+/// least `CAP / 2` inserts away, so sweeping costs O(1) amortized per
+/// insert however many keys stay live.
+#[derive(Debug)]
+pub struct WeakMemo<K, V> {
+    map: HashMap<usize, (Weak<K>, V)>,
+}
+
+impl<K, V> Default for WeakMemo<K, V> {
+    fn default() -> Self {
+        WeakMemo {
+            map: HashMap::new(),
+        }
+    }
+}
+
+impl<K, V: Clone> WeakMemo<K, V> {
+    const CAP: usize = 4096;
+
+    /// The memoized value for `key`, or `compute()`'s, remembered.
+    pub fn get_or_insert_with(&mut self, key: &Arc<K>, compute: impl FnOnce() -> V) -> V {
+        let id = Arc::as_ptr(key) as usize;
+        if let Some((weak, v)) = self.map.get(&id) {
+            if weak.strong_count() > 0 {
+                return v.clone();
+            }
+        }
+        let v = compute();
+        if self.map.len() >= Self::CAP {
+            self.map.retain(|_, (w, _)| w.strong_count() > 0);
+            if self.map.len() >= Self::CAP / 2 {
+                self.map.clear();
+            }
+        }
+        self.map.insert(id, (Arc::downgrade(key), v.clone()));
+        v
+    }
+}
+
+type HeapSets = (FvSet<VarName>, FvSet<TyVar>);
+
+// Free-variable sets of shared heap values, so converting the same
 // component repeatedly (compiled programs re-entering the evaluator)
 // never re-walks its blocks.
 thread_local! {
-    #[allow(clippy::type_complexity)]
-    static HEAP_SETS: RefCell<HashMap<usize, (Weak<HeapVal>, FvSet<VarName>, FvSet<TyVar>)>> =
-        RefCell::new(HashMap::new());
+    static HEAP_SETS: RefCell<WeakMemo<HeapVal, HeapSets>> = RefCell::default();
 }
 
-fn heap_val_sets(hv: &Arc<HeapVal>) -> (FvSet<VarName>, FvSet<TyVar>) {
-    let key = Arc::as_ptr(hv) as usize;
-    HEAP_SETS.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some((weak, fv, ftv)) = cache.get(&key) {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, hv) {
-                    return (fv.clone(), ftv.clone());
-                }
-            }
-        }
-        let fv = owned(fv_heap_val(hv));
-        let ftv = owned(ftv_heap_val(hv));
-        if cache.len() >= 4096 {
-            cache.retain(|_, (w, _, _)| w.upgrade().is_some());
-        }
-        cache.insert(key, (Arc::downgrade(hv), fv.clone(), ftv.clone()));
-        (fv, ftv)
+fn heap_val_sets(hv: &Arc<HeapVal>) -> HeapSets {
+    HEAP_SETS.with(|memo| {
+        memo.borrow_mut()
+            .get_or_insert_with(hv, || (owned(fv_heap_val(hv)), owned(ftv_heap_val(hv))))
     })
 }
 
@@ -121,14 +152,6 @@ fn tcomp_sets(comp: &TComp) -> (FvSet<VarName>, FvSet<TyVar>) {
         ftv = union([ftv, bftv]);
     }
     (fv, ftv)
-}
-
-// Stable content hashes of interned nodes, keyed by `Arc` identity and
-// validated by upgrading the stored weak handle. Shared artifacts (the
-// batch engine hands the same `Arc`-interned term to many workers) hash
-// once per thread instead of once per job.
-thread_local! {
-    static HASH_MEMO: RefCell<HashMap<usize, (Weak<INode>, u64)>> = RefCell::new(HashMap::new());
 }
 
 /// The node forms of an interned F expression, mirroring [`FExpr`].
@@ -266,41 +289,6 @@ impl IExpr {
             IKind::Tuple(es) => es.iter().all(IExpr::is_value),
             _ => false,
         }
-    }
-
-    /// The stable content address of the expression (see
-    /// [`crate::hash`]): equal to [`crate::hash::hash_fexpr`] of the
-    /// plain tree — the same digest the driver's `ArtifactCache`
-    /// reports as `term_key` — memoized per shared node, so an
-    /// interned artifact shared across many jobs hashes once per
-    /// thread instead of re-rendering per use. This is the hook for
-    /// interned pipeline stages and persistent cache tiers; the
-    /// in-process batch cache keys on full content and uses the digest
-    /// for accounting.
-    pub fn stable_hash(&self) -> u64 {
-        let key = Arc::as_ptr(&self.0) as usize;
-        HASH_MEMO.with(|memo| {
-            let mut memo = memo.borrow_mut();
-            if let Some((weak, h)) = memo.get(&key) {
-                if let Some(live) = weak.upgrade() {
-                    if Arc::ptr_eq(&live, &self.0) {
-                        return *h;
-                    }
-                }
-            }
-            let h = crate::hash::hash_fexpr(&self.to_fexpr());
-            if memo.len() >= 4096 {
-                memo.retain(|_, (w, _)| w.upgrade().is_some());
-                // All live: retaining freed nothing, and doing the
-                // O(n) scan again on every insert would make the memo
-                // quadratic. Drop it wholesale — it is only a cache.
-                if memo.len() >= 4096 {
-                    memo.clear();
-                }
-            }
-            memo.insert(key, (Arc::downgrade(&self.0), h));
-            h
-        })
     }
 
     /// Interns a plain F expression, computing the cached sets
@@ -801,17 +789,35 @@ mod tests {
     }
 
     #[test]
-    fn stable_hash_matches_plain_hash_and_memoizes() {
-        let e = app(
-            lam(vec![("x", fint())], fadd(var("x"), fint_e(1))),
-            vec![fint_e(41)],
-        );
-        let i = IExpr::from_fexpr(&e);
-        assert_eq!(i.stable_hash(), crate::hash::hash_fexpr(&e));
-        // Second call hits the memo and must agree.
-        assert_eq!(i.stable_hash(), crate::hash::hash_fexpr(&e));
-        // A structurally equal but separately interned term hashes equal.
-        assert_eq!(IExpr::from_fexpr(&e).stable_hash(), i.stable_hash());
+    fn weak_memo_serves_live_keys_only() {
+        let mut memo = WeakMemo::default();
+        let a = Arc::new(1u32);
+        let mut calls = 0;
+        for _ in 0..3 {
+            memo.get_or_insert_with(&a, || {
+                calls += 1;
+                'a'
+            });
+        }
+        assert_eq!(calls, 1, "a live key is computed once");
+        // A second allocation, even of an equal value, is its own key.
+        assert_eq!(memo.get_or_insert_with(&Arc::new(1u32), || 'b'), 'b');
+        assert_eq!(memo.get_or_insert_with(&a, || 'c'), 'a');
+    }
+
+    #[test]
+    fn weak_memo_stays_bounded_when_every_key_is_live() {
+        type Memo = WeakMemo<usize, usize>;
+        let keys: Vec<Arc<usize>> = (0..3 * Memo::CAP).map(Arc::new).collect();
+        let mut memo = Memo::default();
+        for k in &keys {
+            assert_eq!(memo.get_or_insert_with(k, || **k), **k);
+            assert!(memo.map.len() <= Memo::CAP);
+        }
+        // Entries the sweep dropped are recomputed, never confused.
+        for k in &keys {
+            assert_eq!(memo.get_or_insert_with(k, || **k), **k);
+        }
     }
 
     #[test]

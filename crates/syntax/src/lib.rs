@@ -41,7 +41,6 @@ pub mod alpha;
 pub mod build;
 pub mod display;
 pub mod free;
-pub mod hash;
 pub mod ids;
 pub mod intern;
 pub mod rename;

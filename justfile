@@ -54,10 +54,11 @@ bench-check:
 golden:
     UPDATE_GOLDEN=1 cargo test -p funtal-driver --test golden
 
-# Formatting + clippy, exactly as CI enforces them.
+# Formatting + clippy + rustdoc, exactly as CI enforces them.
 lint:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets -- -D warnings
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib --offline
 
 # The static-analysis gate, exactly as CI runs it: every committed
 # example must pass `funtal lint` clean at warning level. (The
